@@ -6,12 +6,6 @@
 //      10-call chain of each operator: the lower the intensity, the more
 //      memory-bound the chain, the bigger the pipelining win — and the win
 //      grows with threads as bandwidth saturates.
-//  (c) inter-stage overlap: the same chains under the -pipe ablation (one
-//      stage per call, so every boundary is a carried stage handoff) with
-//      ExecOptions::pipeline_stages on vs off. Overlapped regions keep each
-//      batch cache-resident across the whole chain; the lower the operator's
-//      intensity, the bigger the win — high-intensity chains are
-//      compute-bound and the two schedules converge.
 #include <cstdio>
 #include <vector>
 
@@ -100,56 +94,6 @@ int main() {
       std::printf("  %5.2fx", t_base / t_moz);
     }
     std::printf("\n");
-  }
-  vecmath::SetNumThreads(0);
-
-  bench::Title("Figure 7c: inter-stage overlap (pipeline_stages) on a carried stage chain");
-  vecmath::SetNumThreads(1);  // Mozart supplies the parallelism
-  const int kStages = 6;
-  struct Config {
-    const char* name;
-    bool pipelined;
-  };
-  const Config kConfigs[] = {{"pipelined", true}, {"unpipelined", false}};
-  std::printf("  %-6s  %11s  %11s  %7s  %7s  %10s\n", "op", "pipelined", "unpipelined",
-              "ratio", "regions", "overlap ms");
-  for (const Op& op : kOps) {
-    double secs[2] = {0, 0};
-    std::int64_t regions = 0;
-    double overlap_ms = 0;
-    for (int ci = 0; ci < 2; ++ci) {
-      const Config& cfg = kConfigs[ci];
-      mz::RuntimeOptions opts;
-      opts.pipeline = false;  // -pipe: one stage per call → a kStages-deep region
-      opts.pipeline_stages = cfg.pipelined;
-      mz::Runtime rt(opts);
-      auto run = [&] {
-        mz::RuntimeScope scope(&rt);
-        (*op.wrapped)(n, src.data(), dst.data());
-        for (int c = 1; c < kStages; ++c) {
-          (*op.wrapped)(n, dst.data(), dst.data());
-        }
-        rt.Evaluate();
-      };
-      run();  // warm-up
-      rt.stats().Reset();
-      double t = bench::TimeSeconds(run, /*reps=*/3);
-      mz::EvalStats::Snapshot s = rt.stats().Take();
-      secs[ci] = t;
-      if (cfg.pipelined) {
-        regions = s.pipeline_regions;
-        overlap_ms = static_cast<double>(s.pipeline_overlap_ns) / 1e6;
-      }
-      bench::Metric("fig7_pipeline", op.name, cfg.name, "seconds", t);
-      bench::Metric("fig7_pipeline", op.name, cfg.name, "pipeline_regions",
-                    static_cast<double>(s.pipeline_regions));
-      bench::Metric("fig7_pipeline", op.name, cfg.name, "pipeline_overlap_ms",
-                    static_cast<double>(s.pipeline_overlap_ns) / 1e6);
-      bench::Metric("fig7_pipeline", op.name, cfg.name, "fill_flush_ms",
-                    static_cast<double>(s.fill_flush_ns) / 1e6);
-    }
-    std::printf("  %-6s  %9.4fs  %9.4fs  %6.2fx  %7lld  %10.2f\n", op.name, secs[0], secs[1],
-                secs[1] / secs[0], static_cast<long long>(regions), overlap_ms);
   }
   vecmath::SetNumThreads(0);
   return 0;

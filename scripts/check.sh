@@ -9,7 +9,7 @@
 #   scripts/check.sh --tsan     # additionally run core/common under TSan
 #   scripts/check.sh --chaos    # extended seeded fault-injection sweep
 #                               # (MZ_CHAOS_SEEDS widens the per-cell seed
-#                               # range; default 25 → 200 matrix runs)
+#                               # range; default 50 → 200 matrix runs)
 #   scripts/check.sh --bench-diff   # also diff the two newest BENCH_*.json
 #                                   # (advisory — single-core CI wall times
 #                                   # are too noisy to gate on)
@@ -47,10 +47,10 @@ fi
 
 if [[ "${1:-}" == "--chaos" ]]; then
   # Extended chaos sweep: the `chaos` label is the seeded fault-injection
-  # battery (tests/core/chaos_test.cc). Plain ctest already runs it at 13
+  # battery (tests/core/chaos_test.cc). Plain ctest already runs it at 26
   # seeds per knob cell; this widens the sweep. Deterministic per seed: a
   # failure line names the (knobs, seed) cell to reproduce it.
-  seeds="${MZ_CHAOS_SEEDS:-25}"
+  seeds="${MZ_CHAOS_SEEDS:-50}"
   echo "== chaos: fault-injection sweep, ${seeds} seeds per knob cell =="
   (cd build && MZ_CHAOS_SEEDS="$seeds" ctest --output-on-failure -L chaos)
 fi

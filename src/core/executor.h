@@ -1,17 +1,26 @@
 // The Mozart execution engine (§5.2 of the paper).
 //
-// Executes a Plan stage by stage:
-//  1. Discover runtime parameters: call each split input's Info() to learn
-//     total element counts and per-element cache footprints, then set the
-//     batch size to roughly C * sizeof(L2 cache) / sum(bytes per element).
-//  2. Execute: workers statically partition the element range (one
-//     contiguous chunk per worker). Each worker's driver loop splits every
-//     input for the current batch, runs the stage's functions in program
-//     order on the cache-resident pieces, and stashes output pieces.
-//  3. Merge: each worker merges its own pieces (associative merge), then the
-//     remaining per-worker partials are combined by a parallel merge tree on
-//     the pool (grouped partial merges on workers, root merge on the calling
-//     thread) and written back into the dataflow graph's slots.
+// Executes a Plan one stage at a time: every stage runs to completion —
+// split, task, merge — before the next starts (the paper's schedule, and the
+// one Table 4's "-pipe" ablation is defined against). Serial stages run once
+// on the calling thread; every other stage goes through RunStage, whose
+// three parts are:
+//  1. Piece source (SourcePieces): claim the piece sets carried into the
+//     stage and reconcile them with its batch choice (ReconcileCarried), or
+//     resolve fresh inputs — call each split input's Info() to learn total
+//     element counts and per-element cache footprints — and set the batch
+//     size to roughly C * sizeof(L2 cache) / sum(bytes per element).
+//  2. Batch driver (DriveBatches): workers statically partition the element
+//     range (one contiguous chunk per worker) or, under dynamic scheduling,
+//     claim batches from a shared counter; carried stages walk the carried
+//     ranges instead. Each batch splits every input, runs the stage's
+//     functions in program order on the cache-resident pieces, and stashes
+//     output pieces; static workers then merge their own pieces.
+//  3. Merge tree (RunMergeTree): carried-out buffers are handed to the
+//     consuming stage (parking a deferred merge when a Future watches the
+//     slot); the remaining per-worker partials are combined by a parallel
+//     merge tree on the pool (grouped partial merges on workers, root merge
+//     on the calling thread) and written back into the dataflow graph.
 //
 // Piece passing (stage-boundary elision): when the planner marked a buffer
 // carry_out/carry_in (planner.h), the producing stage skips its merge and
@@ -41,6 +50,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "common/cancel.h"
@@ -80,19 +90,12 @@ struct ExecOptions {
   // coalesces nothing but subdivides; avg×threshold < batch coalesces).
   // <= 0 disables re-batching while keeping the footprint model.
   double rebatch_threshold = 2.0;
-  // Inter-stage pipeline parallelism: execute the planner's pipelineable
-  // regions (Stage::pipeline_region) as one overlapped batch walk — batch i
-  // runs stage k while batch i-1 runs stage k+1, so downstream compute and
-  // per-worker merges drain concurrently with upstream compute. Requires
-  // elide_boundaries (regions are built from carried boundaries). Off = the
-  // ablation: every stage runs to completion before the next starts.
-  bool pipeline_stages = true;
   // Cooperative cancellation (cancel.h): checked at stage boundaries, at
-  // every batch a worker claims, and before each merge group. A stop
-  // unwinds through the worker error path (first-exception capture plus
-  // dynamic-queue poisoning), so static and dynamic schedules both abandon
-  // the plan promptly and the throw surfaces on the calling thread. Inert
-  // by default: checks cost one null test.
+  // every batch a worker claims, and before each merge group. A stop thrown
+  // on a worker is captured as that stage's first exception; the other
+  // workers hit the same check at their next batch, so static and dynamic
+  // schedules both abandon the plan promptly and the throw surfaces on the
+  // calling thread. Inert by default: checks cost one null test.
   CancelToken cancel;
 };
 
@@ -137,19 +140,35 @@ class Executor {
     int chain_len = 1;
   };
 
-  // Reusable per-run scratch (per-depth pieces/partials tables, per-worker
-  // cursors), so back-to-back stages stop hammering the allocator; defined
-  // in the .cc.
+  // Reusable per-stage scratch (buffer state, piece/partial tables,
+  // per-worker cursors, and the piece source's batch decisions), so
+  // back-to-back stages stop hammering the allocator; defined in the .cc.
   struct Scratch;
 
-  // Runs one pipelineable region: `stages` is a run of consecutive plan
-  // stages sharing a pipeline_region id (or a single stage — the degenerate
-  // region every stage becomes when pipelining is off or the planner found
-  // no region). Depth 0 claims carried sets / splits fresh inputs exactly
-  // like a standalone stage; deeper stages are fed in-flight pieces within
-  // one batch walk, overlapping across the batch loop.
-  void RunRegion(const std::vector<const Stage*>& stages);
+  // Runs one non-serial stage: SourcePieces, DriveBatches, RunMergeTree.
+  void RunStage(const Stage& stage);
   void RunSerialStage(const Stage& stage);
+
+  // Piece source: resolves every buffer's execution state into scratch_ and
+  // decides the batch structure (total, batch size, template carried set).
+  void SourcePieces(const Stage& stage);
+  // Brings the claimed carried sets to one range structure that matches the
+  // stage's batch choice; returns the largest piece length of that structure.
+  std::int64_t ReconcileCarried(const Stage& stage);
+  // Batch driver: runs every batch on the pool and pre-merges per worker.
+  void DriveBatches(const Stage& stage);
+  // Merge tree: carried handoff, deferred merges, and grouped final merges.
+  void RunMergeTree(const Stage& stage);
+
+  // Resolves buffer i as a freshly split input: split type, params,
+  // splitter, Info().
+  void ResolveFreshInput(const Stage& stage, std::size_t i);
+  // Merge parameters and merge splitter for buffer i, given a sample piece.
+  std::span<const std::int64_t> MergeParams(const Stage& stage, std::size_t i) const;
+  const Splitter* MergeSplitter(const Stage& stage, std::size_t i, const Value& sample) const;
+  // Owning variant for deferred merges, which outlive this evaluation.
+  std::shared_ptr<const Splitter> MergeSplitterShared(const StageBuffer& def,
+                                                      const Value& sample) const;
 
   TaskGraph* graph_;
   const Registry* registry_;

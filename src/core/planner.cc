@@ -455,7 +455,6 @@ Plan Planner::Build(int first_node, int end_node) {
   close_stage();
   AnnotateCarries(&plan);
   AnnotateFootprints(&plan);
-  AnnotatePipeline(&plan);
 
   MZ_LOG(Debug) << "planned " << plan.stages.size() << " stage(s) for nodes [" << first_node
                 << ", " << end_node << ")";
@@ -702,9 +701,7 @@ void Planner::AnnotateCarries(Plan* plan) {
                             .buffers[static_cast<std::size_t>(c.producer_buf)];
       pb.carry_out = true;
       pb.deferred_merge = c.deferred;
-      plan->stages[static_cast<std::size_t>(c.producer_stage)].feeds_carries = true;
       cstage.buffers[static_cast<std::size_t>(c.consumer_buf)].carry_in = true;
-      cstage.takes_carries = true;
     }
   }
 }
@@ -802,108 +799,6 @@ void Planner::AnnotateFootprints(Plan* plan) {
       buf.elem_bytes_hint = width;
     }
   }
-}
-
-// Groups maximal runs of consecutive carried stages into pipelineable
-// regions. While a region runs, batch i of stage k overlaps batch i-1 of
-// stage k+1 — partially computed streams are live across the whole region,
-// so eligibility is stricter than plain carrying. Stage s extends the
-// region ending at stage s-1 iff:
-//  1. s is non-serial and takes carries;
-//  2. every split-input buffer of s is carry_in, with its producing
-//     carry_out buffer in a stage already in the region (the executor feeds
-//     pieces depth-to-depth inside one batch walk, so any in-region
-//     producer works, including skip-level carries) — a fresh split input
-//     or an out-of-region producer would need the upstream stage complete;
-//  3. no broadcast buffer of s names a slot any in-region stage writes
-//     (mut or produced): the broadcast reads the *full* value, which is
-//     only final once the writing stage has completely finished — exactly
-//     the barrier pipelining removes.
-// Regions of length >= 2 get ids and depths; singleton runs stay unmarked
-// (pipeline_region = -1) and execute exactly as before.
-void Planner::AnnotatePipeline(Plan* plan) {
-  const int num_stages = static_cast<int>(plan->stages.size());
-  int next_region = 0;
-  int run_start = 0;
-  auto close_run = [&](int run_end) {  // [run_start, run_end)
-    if (run_end - run_start >= 2) {
-      for (int s = run_start; s < run_end; ++s) {
-        plan->stages[static_cast<std::size_t>(s)].pipeline_region = next_region;
-        plan->stages[static_cast<std::size_t>(s)].pipeline_depth = s - run_start;
-      }
-      ++next_region;
-    }
-    run_start = run_end;
-  };
-
-  auto writes_slot = [&](const Stage& st, SlotId slot) {
-    for (const StageBuffer& b : st.buffers) {
-      if (b.slot == slot && (b.is_output || (!b.is_input && !b.is_broadcast))) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto carries_out_slot = [&](const Stage& st, SlotId slot) {
-    for (const StageBuffer& b : st.buffers) {
-      if (b.slot == slot && b.carry_out) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  for (int s = 1; s < num_stages; ++s) {
-    const Stage& st = plan->stages[static_cast<std::size_t>(s)];
-    const Stage& prev = plan->stages[static_cast<std::size_t>(s - 1)];
-    bool extend = !st.serial && !prev.serial && st.takes_carries && prev.feeds_carries;
-    if (extend) {
-      for (const StageBuffer& b : st.buffers) {
-        if (b.is_input && !b.carry_in) {
-          // Fresh split input. Fine as long as no in-region stage produces
-          // the slot: the value is materialized before the region starts,
-          // and the executor splits it by the in-flight batch ranges
-          // (AnnotateCarries only mixes fresh inputs with aligned carried
-          // streams, so the ranges are positional for it too).
-          for (int p = run_start; p < s; ++p) {
-            if (writes_slot(plan->stages[static_cast<std::size_t>(p)], b.slot)) {
-              extend = false;  // produced in-region: needs that stage done
-              break;
-            }
-          }
-          if (!extend) {
-            break;
-          }
-          continue;
-        }
-        if (b.is_input && b.carry_in) {
-          bool in_region = false;
-          for (int p = run_start; p < s && !in_region; ++p) {
-            in_region = carries_out_slot(plan->stages[static_cast<std::size_t>(p)], b.slot);
-          }
-          if (!in_region) {
-            extend = false;  // carried from before the region boundary
-            break;
-          }
-        }
-        if (b.is_broadcast) {
-          for (int p = run_start; p < s; ++p) {
-            if (writes_slot(plan->stages[static_cast<std::size_t>(p)], b.slot)) {
-              extend = false;  // full-value read of an in-flight stream
-              break;
-            }
-          }
-          if (!extend) {
-            break;
-          }
-        }
-      }
-    }
-    if (!extend) {
-      close_run(s);
-    }
-  }
-  close_run(num_stages);
 }
 
 }  // namespace mz

@@ -107,18 +107,6 @@ struct Stage {
   std::vector<PlannedFunc> funcs;
   std::vector<StageBuffer> buffers;
   bool serial = false;  // no split arguments: run once, unsplit
-  // Carry-over summary (see StageBuffer::carry_{in,out}): whether any buffer
-  // of this stage hands pieces to a later stage / receives carried pieces.
-  bool feeds_carries = false;
-  bool takes_carries = false;
-  // Inter-stage pipeline parallelism (AnnotatePipeline): consecutive stages
-  // whose every split input is carried from within the run form a
-  // *pipelineable region* — the executor may overlap them across the batch
-  // loop (batch i in stage k while batch i-1 runs stage k+1). -1 / 0 when
-  // the stage is not part of any region. Derived purely from fingerprinted
-  // planner inputs, so cached templates reproduce the schedule exactly.
-  int pipeline_region = -1;  // region id, shared by the region's stages
-  int pipeline_depth = 0;    // position within the region (0 = entry stage)
 };
 
 // A plan references its graph only through PlannedFunc::node_index and
@@ -126,9 +114,9 @@ struct Stage {
 // *templates* are Plans whose node indices are range-relative and whose
 // slot fields hold canonical local ids instead of SlotIds, rewritten on
 // instantiation. Keep any new graph reference added here representable
-// under that rewrite. The carry fields (carry_{in,out}, {feeds,takes}_
-// carries) are plain value state derived from fingerprinted inputs, so they
-// ride the template verbatim.
+// under that rewrite. The carry fields (carry_{in,out}, deferred_merge) are
+// plain value state derived from fingerprinted inputs, so they ride the
+// template verbatim.
 struct Plan {
   std::vector<Stage> stages;
 };
@@ -171,11 +159,6 @@ class Planner {
   // too (they are charged as resident bytes against the batch budget), and
   // parameterized splitters report exact widths via WidthForParams.
   void AnnotateFootprints(Plan* plan);
-
-  // Post-pass (after AnnotateCarries): groups maximal runs of consecutive
-  // carried stages into pipelineable regions, recording
-  // Stage::pipeline_{region,depth}. See the eligibility rules in planner.cc.
-  void AnnotatePipeline(Plan* plan);
 
   int ClassForConcreteExpr(const SplitExpr& expr, const Node& node);
 

@@ -58,11 +58,6 @@ struct RuntimeOptions {
   // never re-cuts carried pieces.
   bool batch_per_stage = true;
   double rebatch_threshold = 2.0;
-  // Inter-stage pipeline parallelism: run the planner's pipelineable
-  // regions as one overlapped batch walk (batch i in stage k while batch
-  // i-1 runs stage k+1). Off = every stage runs to completion before the
-  // next starts (ExecOptions::pipeline_stages).
-  bool pipeline_stages = true;
 
   // --- serving-layer wiring (session.h) — all non-owning, may be null ---
   // Execute on this pool instead of constructing a private one. The pool is

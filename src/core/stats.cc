@@ -50,10 +50,6 @@ std::string EvalStats::Snapshot::ToString() const {
     }
     os << "]";
   }
-  if (pipeline_regions > 0) {
-    os << " [pipelined " << pipeline_regions << " regions, overlap="
-       << Ms(pipeline_overlap_ns) << "ms fill/flush=" << Ms(fill_flush_ns) << "ms]";
-  }
   if (shed_evals + quota_rejects + deadline_evals + cancelled_evals + drained_evals > 0) {
     os << " [shed=" << shed_evals << " quota=" << quota_rejects
        << " deadline=" << deadline_evals << " cancelled=" << cancelled_evals

@@ -63,17 +63,14 @@ class EvalStats {
     std::int64_t deferred_merges = 0;
     std::int64_t carry_chain_len_max = 0;
     std::int64_t footprint_bytes_max = 0;
-    // Inter-stage pipeline parallelism (ISSUE 6): carried stage runs that
-    // executed as one overlapped region, worker time spent in downstream
-    // stages of a region (compute that PR 5 would have serialized after the
-    // upstream stage), the region prologue/epilogue time on the calling
-    // thread (the fill/flush cost overlap must amortize), and carried piece
-    // sets re-cut in place because their ranges provably tiled the stream
-    // (the coverage-aware alternative to materialize + re-split).
-    std::int64_t pipeline_regions = 0;
-    std::int64_t pipeline_overlap_ns = 0;
-    std::int64_t fill_flush_ns = 0;
+    // Carried piece sets re-cut in place because their ranges provably
+    // tiled the stream (the coverage-aware alternative to materialize +
+    // re-split).
     std::int64_t carried_recuts = 0;
+    // Always 0, and never counted: the executor runs one stage at a time and
+    // forms no overlapped multi-stage regions. The snapshot field stays only
+    // because perfbench still reads it (executor.pipeline_regions_per_eval).
+    std::int64_t pipeline_regions = 0;
     // Streaming/windowed execution (ISSUE 7, stream.h): window firings
     // evaluated through Runtime::EvalStream, wall time from each window's
     // assembly to its firing's completion (per-window latency; summed —
@@ -148,9 +145,6 @@ class EvalStats {
       deferred_merges += other.deferred_merges;
       carry_chain_len_max = std::max(carry_chain_len_max, other.carry_chain_len_max);
       footprint_bytes_max = std::max(footprint_bytes_max, other.footprint_bytes_max);
-      pipeline_regions += other.pipeline_regions;
-      pipeline_overlap_ns += other.pipeline_overlap_ns;
-      fill_flush_ns += other.fill_flush_ns;
       carried_recuts += other.carried_recuts;
       window_firings += other.window_firings;
       window_lag_ns += other.window_lag_ns;
@@ -201,9 +195,6 @@ class EvalStats {
     s.deferred_merges = deferred_merges.load(std::memory_order_relaxed);
     s.carry_chain_len_max = carry_chain_len_max.load(std::memory_order_relaxed);
     s.footprint_bytes_max = footprint_bytes_max.load(std::memory_order_relaxed);
-    s.pipeline_regions = pipeline_regions.load(std::memory_order_relaxed);
-    s.pipeline_overlap_ns = pipeline_overlap_ns.load(std::memory_order_relaxed);
-    s.fill_flush_ns = fill_flush_ns.load(std::memory_order_relaxed);
     s.carried_recuts = carried_recuts.load(std::memory_order_relaxed);
     s.window_firings = window_firings.load(std::memory_order_relaxed);
     s.window_lag_ns = window_lag_ns.load(std::memory_order_relaxed);
@@ -253,9 +244,6 @@ class EvalStats {
     deferred_merges.fetch_add(s.deferred_merges, std::memory_order_relaxed);
     MaxInto(carry_chain_len_max, s.carry_chain_len_max);
     MaxInto(footprint_bytes_max, s.footprint_bytes_max);
-    pipeline_regions.fetch_add(s.pipeline_regions, std::memory_order_relaxed);
-    pipeline_overlap_ns.fetch_add(s.pipeline_overlap_ns, std::memory_order_relaxed);
-    fill_flush_ns.fetch_add(s.fill_flush_ns, std::memory_order_relaxed);
     carried_recuts.fetch_add(s.carried_recuts, std::memory_order_relaxed);
     window_firings.fetch_add(s.window_firings, std::memory_order_relaxed);
     window_lag_ns.fetch_add(s.window_lag_ns, std::memory_order_relaxed);
@@ -310,9 +298,6 @@ class EvalStats {
     deferred_merges = 0;
     carry_chain_len_max = 0;
     footprint_bytes_max = 0;
-    pipeline_regions = 0;
-    pipeline_overlap_ns = 0;
-    fill_flush_ns = 0;
     carried_recuts = 0;
     window_firings = 0;
     window_lag_ns = 0;
@@ -358,9 +343,6 @@ class EvalStats {
   std::atomic<std::int64_t> deferred_merges{0};
   std::atomic<std::int64_t> carry_chain_len_max{0};
   std::atomic<std::int64_t> footprint_bytes_max{0};
-  std::atomic<std::int64_t> pipeline_regions{0};
-  std::atomic<std::int64_t> pipeline_overlap_ns{0};
-  std::atomic<std::int64_t> fill_flush_ns{0};
   std::atomic<std::int64_t> carried_recuts{0};
   std::atomic<std::int64_t> window_firings{0};
   std::atomic<std::int64_t> window_lag_ns{0};

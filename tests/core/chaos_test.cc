@@ -1,7 +1,8 @@
 // Deterministic chaos battery (ISSUE 9): the seeded fault injector
 // (common/fault.h) sweeps injected throws and delays across the serving
-// stack's knob matrix — pipeline_stages × dynamic_scheduling × batching —
-// and after every faulted run asserts the invariants that define "robust":
+// stack's knob matrix — dynamic_scheduling × batching, 26 seeds per cell by
+// default (>= 104 faulted runs) — and after every faulted run asserts the
+// invariants that define "robust":
 //
 //  * no leaked admission tokens, no stranded waiters (gate introspection);
 //  * the session/runtime stays reusable: Reset + re-capture + a clean
@@ -105,7 +106,7 @@ TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
   const Vec la = Iota(kLargeN, 1.0), lb = Iota(kLargeN, 2.0);
 
   // Extended sweeps (check.sh --chaos) widen the seed range via env.
-  int num_seeds = 13;
+  int num_seeds = 26;
   if (const char* env = std::getenv("MZ_CHAOS_SEEDS")) {
     num_seeds = std::max(1, std::atoi(env));
   }
@@ -113,68 +114,64 @@ TEST(ChaosTest, KnobMatrixSeedSweepHoldsInvariants) {
   int runs = 0;
   std::int64_t total_fires = 0;
   std::set<std::string> sites_hit;
-  for (bool pipeline : {false, true}) {
-    for (bool dynamic : {false, true}) {
-      for (bool batching : {false, true}) {
-        // Uninjected reference for this knob cell: what a clean run of the
-        // exact same configuration produces.
-        ServingContext ref_ctx(Knobs(batching));
-        SessionOptions ref_opts;
-        ref_opts.serving = &ref_ctx;
-        ref_opts.runtime.dynamic_scheduling = dynamic;
-        ref_opts.runtime.pipeline_stages = pipeline;
-        Session ref_session(ref_opts);
-        const RunResult ref = Serve(ref_session, sa, sb, la, lb);
+  for (bool dynamic : {false, true}) {
+    for (bool batching : {false, true}) {
+      // Uninjected reference for this knob cell: what a clean run of the
+      // exact same configuration produces.
+      ServingContext ref_ctx(Knobs(batching));
+      SessionOptions ref_opts;
+      ref_opts.serving = &ref_ctx;
+      ref_opts.runtime.dynamic_scheduling = dynamic;
+      Session ref_session(ref_opts);
+      const RunResult ref = Serve(ref_session, sa, sb, la, lb);
 
-        for (int seed = 1; seed <= num_seeds; ++seed, ++runs) {
-          ServingContext ctx(Knobs(batching));
-          SessionOptions opts;
-          opts.serving = &ctx;
-          opts.runtime.dynamic_scheduling = dynamic;
-          opts.runtime.pipeline_stages = pipeline;
-          Session session(opts);
+      for (int seed = 1; seed <= num_seeds; ++seed, ++runs) {
+        ServingContext ctx(Knobs(batching));
+        SessionOptions opts;
+        opts.serving = &ctx;
+        opts.runtime.dynamic_scheduling = dynamic;
+        Session session(opts);
 
-          FaultConfig cfg;
-          cfg.seed = static_cast<std::uint64_t>(seed) * 7919 + (runs + 1);
-          cfg.p_throw = 0.15;
-          cfg.p_delay = 0.10;
-          cfg.delay_us = 100;
-          FaultInjector::Global().Arm(cfg);
+        FaultConfig cfg;
+        cfg.seed = static_cast<std::uint64_t>(seed) * 7919 + (runs + 1);
+        cfg.p_throw = 0.15;
+        cfg.p_delay = 0.10;
+        cfg.delay_us = 100;
+        FaultInjector::Global().Arm(cfg);
 
-          int faulted = 0;
-          for (int attempt = 0; attempt < 4; ++attempt) {
-            try {
-              Serve(session, sa, sb, la, lb);
-            } catch (const Error&) {  // FaultInjected, Deadline, Overload...
-              ++faulted;
-              session.Reset();  // a failed request must leave Reset enough
-            }
+        int faulted = 0;
+        for (int attempt = 0; attempt < 4; ++attempt) {
+          try {
+            Serve(session, sa, sb, la, lb);
+          } catch (const Error&) {  // FaultInjected, Deadline, Overload...
+            ++faulted;
+            session.Reset();  // a failed request must leave Reset enough
           }
-          FaultInjector::Global().Disarm();
-          total_fires += FaultInjector::Global().fires();
-          for (const auto& [site, hits] : FaultInjector::Global().sites()) {
-            if (hits > 0) {
-              sites_hit.insert(site);
-            }
-          }
-
-          // Invariant: whatever the faults tore up, the gate is clean...
-          ASSERT_EQ(ctx.admission().in_use(), 0)
-              << "leaked token: pipeline=" << pipeline << " dynamic=" << dynamic
-              << " batching=" << batching << " seed=" << cfg.seed;
-          ASSERT_EQ(ctx.admission().waiting(), 0)
-              << "stuck waiter: pipeline=" << pipeline << " dynamic=" << dynamic
-              << " batching=" << batching << " seed=" << cfg.seed;
-
-          // ...and the session still serves, bit-identically to the
-          // uninjected reference run of this configuration.
-          const RunResult clean = Serve(session, sa, sb, la, lb);
-          ASSERT_EQ(clean.small_out, ref.small_out)
-              << "post-fault retry diverged (small): seed=" << cfg.seed;
-          ASSERT_EQ(clean.large_out, ref.large_out)
-              << "post-fault retry diverged (large): seed=" << cfg.seed;
-          ASSERT_EQ(clean.sum, ref.sum) << "post-fault retry diverged (sum): seed=" << cfg.seed;
         }
+        FaultInjector::Global().Disarm();
+        total_fires += FaultInjector::Global().fires();
+        for (const auto& [site, hits] : FaultInjector::Global().sites()) {
+          if (hits > 0) {
+            sites_hit.insert(site);
+          }
+        }
+
+        // Invariant: whatever the faults tore up, the gate is clean...
+        ASSERT_EQ(ctx.admission().in_use(), 0)
+            << "leaked token: dynamic=" << dynamic << " batching=" << batching
+            << " seed=" << cfg.seed;
+        ASSERT_EQ(ctx.admission().waiting(), 0)
+            << "stuck waiter: dynamic=" << dynamic << " batching=" << batching
+            << " seed=" << cfg.seed;
+
+        // ...and the session still serves, bit-identically to the
+        // uninjected reference run of this configuration.
+        const RunResult clean = Serve(session, sa, sb, la, lb);
+        ASSERT_EQ(clean.small_out, ref.small_out)
+            << "post-fault retry diverged (small): seed=" << cfg.seed;
+        ASSERT_EQ(clean.large_out, ref.large_out)
+            << "post-fault retry diverged (large): seed=" << cfg.seed;
+        ASSERT_EQ(clean.sum, ref.sum) << "post-fault retry diverged (sum): seed=" << cfg.seed;
       }
     }
   }

@@ -106,8 +106,8 @@ TEST(DeadlineTest, ExpiredDeadlineThrowsAndCountsDeadlineError) {
 
 // A cancel raised *inside* execution (by the first batch of a captured
 // function) unwinds through the executor's boundary checks, and after a
-// Reset the same capture re-evaluates bit-identically — across static,
-// dynamic, and pipelined schedules.
+// Reset the same capture re-evaluates bit-identically — under static and
+// dynamic schedules.
 TEST(DeadlineTest, MidEvaluationCancelUnwindsAndRetryIsBitIdentical) {
   mzvec::EnsureRegistered();
   const long n = 8192;
@@ -118,47 +118,43 @@ TEST(DeadlineTest, MidEvaluationCancelUnwindsAndRetryIsBitIdentical) {
   }
 
   for (bool dynamic : {false, true}) {
-    for (bool pipeline : {false, true}) {
-      CancelSource src;
-      std::atomic<int> calls{0};
-      Annotated<void(long, const double*, double*)> canceling_inc(
-          [&](long size, const double* in, double* out) {
-            for (long i = 0; i < size; ++i) {
-              out[i] = in[i] + 1.0;
-            }
-            if (calls.fetch_add(1, std::memory_order_relaxed) == 0) {
-              src.Cancel();  // cancel mid-plan, from the first batch executed
-            }
-          },
-          AnnotationBuilder("test_canceling_inc")
-              .Arg("size", Split("SizeSplit", {"size"}))
-              .Arg("in", Split("ArraySplit", {"size"}))
-              .MutArg("out", Split("ArraySplit", {"size"}))
-              .Build());
+    CancelSource src;
+    std::atomic<int> calls{0};
+    Annotated<void(long, const double*, double*)> canceling_inc(
+        [&](long size, const double* in, double* out) {
+          for (long i = 0; i < size; ++i) {
+            out[i] = in[i] + 1.0;
+          }
+          if (calls.fetch_add(1, std::memory_order_relaxed) == 0) {
+            src.Cancel();  // cancel mid-plan, from the first batch executed
+          }
+        },
+        AnnotationBuilder("test_canceling_inc")
+            .Arg("size", Split("SizeSplit", {"size"}))
+            .Arg("in", Split("ArraySplit", {"size"}))
+            .MutArg("out", Split("ArraySplit", {"size"}))
+            .Build());
 
-      RuntimeOptions rt_opts;
-      rt_opts.num_threads = 2;
-      rt_opts.batch_elems_override = 256;  // 32 batches: plenty of boundaries
-      rt_opts.dynamic_scheduling = dynamic;
-      rt_opts.pipeline_stages = pipeline;
-      Runtime rt(rt_opts);
-      RuntimeScope scope(&rt);
+    RuntimeOptions rt_opts;
+    rt_opts.num_threads = 2;
+    rt_opts.batch_elems_override = 256;  // 32 batches: plenty of boundaries
+    rt_opts.dynamic_scheduling = dynamic;
+    Runtime rt(rt_opts);
+    RuntimeScope scope(&rt);
 
-      std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-      canceling_inc(n, a.data(), out.data());
-      EvalOptions eo;
-      eo.cancel = src.token();
-      EXPECT_THROW(rt.Evaluate(eo), CancelledError)
-          << "dynamic=" << dynamic << " pipeline=" << pipeline;
-      EXPECT_GE(calls.load(), 1);
+    std::vector<double> out(static_cast<std::size_t>(n), 0.0);
+    canceling_inc(n, a.data(), out.data());
+    EvalOptions eo;
+    eo.cancel = src.token();
+    EXPECT_THROW(rt.Evaluate(eo), CancelledError) << "dynamic=" << dynamic;
+    EXPECT_GE(calls.load(), 1);
 
-      // The runtime survives the unwind: Reset, re-capture, clean evaluate.
-      rt.Reset();
-      std::fill(out.begin(), out.end(), 0.0);
-      canceling_inc(n, a.data(), out.data());
-      rt.Evaluate();  // inert token: the prior cancel is irrelevant here
-      EXPECT_EQ(out, want) << "dynamic=" << dynamic << " pipeline=" << pipeline;
-    }
+    // The runtime survives the unwind: Reset, re-capture, clean evaluate.
+    rt.Reset();
+    std::fill(out.begin(), out.end(), 0.0);
+    canceling_inc(n, a.data(), out.data());
+    rt.Evaluate();  // inert token: the prior cancel is irrelevant here
+    EXPECT_EQ(out, want) << "dynamic=" << dynamic;
   }
 }
 

@@ -7,7 +7,9 @@
 // re-cutting of dynamically-scheduled multi-producer piece sets (the
 // kRecut alternative to materialize, ISSUE 6), the ablation knobs
 // (batch_per_stage / rebatch_threshold), and warm plan-cache behavioral
-// round-trips of the per-stage batch fields.
+// round-trips of the per-stage batch fields. Also the batch-size inputs
+// themselves: broadcast operands charged as resident bytes, and splitter
+// width hooks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -490,6 +492,67 @@ TEST(RebatchChains, IdentityPipelineChainsAllBoundaries) {
   EXPECT_EQ(s.stages, kStages);
   EXPECT_EQ(s.boundaries_elided, kStages - 1);
   EXPECT_EQ(s.carry_chain_len_max, kStages - 1);
+}
+
+// ---- broadcast footprint accounting (bugfix) ----
+
+// out[i] = a[i] + big[0]: `big` is a "_" operand read in full by every
+// piece call, so it sits cache-resident for the whole stage.
+const Annotated<df::Column(const df::Column&, const df::Column&)>& AddHead() {
+  static const Annotated<df::Column(const df::Column&, const df::Column&)> fn(
+      [](const df::Column& a, const df::Column& big) {
+        std::vector<double> out(static_cast<std::size_t>(a.size()));
+        const double head = big.size() > 0 ? big.d(0) : 0.0;
+        for (long i = 0; i < a.size(); ++i) {
+          out[static_cast<std::size_t>(i)] = a.d(i) + head;
+        }
+        return df::Column::Doubles(std::move(out));
+      },
+      AnnotationBuilder("rebatch_test.add_head")
+          .Arg("a", Generic("S"))
+          .Arg("big", NoSplit())
+          .Returns(Generic("S"))
+          .Build());
+  return fn;
+}
+
+TEST(BroadcastFootprint, WideBroadcastOperandShrinksTheBatch) {
+  // A broadcast operand bigger than the whole L2 budget must drive the
+  // batch to its floor — the pre-fix model ignored broadcasts and sized
+  // batches as if the cache were empty.
+  const long n = 64;
+  const long big_rows = 2 * static_cast<long>(L2CacheBytes()) / 8;
+  df::Column a = MakeColumn(n);
+  df::Column big = MakeColumn(big_rows);
+  df::Column small = MakeColumn(8);
+
+  auto run = [&](const df::Column& bcast) {
+    Runtime rt(Opts(/*threads=*/2));
+    RuntimeScope scope(&rt);
+    Future<df::Column> out = AddHead()(a, bcast);
+    df::Column got = out.get();
+    EXPECT_EQ(got.size(), n);
+    EXPECT_DOUBLE_EQ(got.d(5), 5.0 + bcast.d(0));
+    return rt.stats().Take().batches;
+  };
+
+  std::int64_t batches_small = run(small);
+  std::int64_t batches_big = run(big);
+  // Budget exhausted by the resident broadcast → one-element batches.
+  EXPECT_GE(batches_big, n / 2);
+  EXPECT_GT(batches_big, batches_small);
+}
+
+// ---- splitter width hooks (exact widths, not element_width constants) ----
+
+TEST(SplitterWidth, SeriesAndFrameReportParamWidths) {
+  Registry& reg = Registry::Global();
+  const InternedId series = InternName("SeriesSplit");
+  // {total_rows, bytes_per_row}: the width is the params' second word.
+  const std::int64_t series_params[] = {1000, 48};
+  EXPECT_EQ(reg.ElementWidthForSplitType(series, series_params), 48);
+  // Param-less fallback: the traits constant (8-byte double rows).
+  EXPECT_EQ(reg.ElementWidthForSplitType(series), 8);
 }
 
 }  // namespace
