@@ -1,7 +1,7 @@
 // Streaming throughput + per-window latency (ISSUE 7): a fixed vecmath
 // chain (mul, add, sum-reduce) over a chunked stream, windowed by
-// Runtime::EvalStream with a plan cache wired up so every steady-state
-// firing instantiates the first firing's template. Reports, per window
+// Runtime::EvalStream; the runtime's plan cache makes every steady-state
+// firing instantiate the first firing's template. Reports, per window
 // size:
 //   - seconds          total wall time for the whole stream (regression gate)
 //   - elems_per_sec    sustained throughput
@@ -13,7 +13,6 @@
 
 #include "bench/bench_common.h"
 #include "common/timer.h"
-#include "core/plan_cache.h"
 #include "core/runtime.h"
 #include "core/stream.h"
 #include "vecmath/annotated.h"
@@ -40,10 +39,8 @@ int main() {
 
   for (long window : {total / 128, total / 32, total / 8}) {
     if (window <= 0) continue;
-    mz::PlanCache cache;
     mz::RuntimeOptions o;
     o.num_threads = 0;  // all logical CPUs
-    o.plan_cache = &cache;
     mz::Runtime rt(o);
 
     mz::StreamSource src;

@@ -1,5 +1,6 @@
 #include "common/cpu.h"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <fstream>
@@ -67,8 +68,17 @@ std::size_t SysfsCacheBytes(int want_level) {
 
 int NumLogicalCpus() {
   // Cached: this sits on the hot path of every library-internal parallel
-  // dispatch, and hardware_concurrency() costs a syscall on glibc.
+  // dispatch, and each probe below costs a syscall.
   static const int cached = [] {
+#ifdef __linux__
+    // The CPUs this process may run on: taskset and cpusets narrow this
+    // below the online count that hardware_concurrency() reports.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof(mask), &mask) == 0 && CPU_COUNT(&mask) > 0) {
+      return CPU_COUNT(&mask);
+    }
+#endif
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0) {
       long n = ::sysconf(_SC_NPROCESSORS_ONLN);

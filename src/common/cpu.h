@@ -12,7 +12,8 @@
 
 namespace mz {
 
-// Number of online logical CPUs (>= 1).
+// Number of logical CPUs this process may run on (>= 1): the size of its
+// affinity mask on Linux, else the online CPU count.
 int NumLogicalCpus();
 
 // Private L2 data-cache size in bytes for cpu0. Falls back to 256 KiB.

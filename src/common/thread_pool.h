@@ -14,6 +14,23 @@
 //
 // ParallelFor partitions [0, n) into contiguous chunks, one per worker, which
 // matches the static partitioning Mozart uses for split ranges.
+//
+// Handoff is spin-then-park. A worker that finishes a task polls the queued-
+// task count for a fixed window (~50 µs, with a pause instruction per probe)
+// before it sleeps on the condition variable, and a caller waiting on its
+// dispatch's barrier polls the barrier's pending count for the same window
+// before it blocks. Back-to-back dispatches — a runtime evaluating small
+// graphs in a loop — therefore skip the futex wake/sleep round trip. The
+// spin applies only while the pool is not oversubscribed
+// (num_threads() <= NumLogicalCpus()); an oversubscribed pool parks at once,
+// since spinning there would steal the CPU the awaited task needs.
+//
+// Exceptions: an exception thrown by fn on any worker, the caller's inline
+// worker 0 included, reaches the caller of RunOnWorkers/RunOnAllWorkers/
+// ParallelFor. The call always waits for every task it queued before it
+// rethrows, so a body may capture the caller's frame by reference. When
+// several tasks throw, the caller's own exception wins, else the first one
+// recorded; the rest are dropped. The pool stays usable afterwards.
 #ifndef MOZART_COMMON_THREAD_POOL_H_
 #define MOZART_COMMON_THREAD_POOL_H_
 
@@ -66,7 +83,9 @@ class ThreadPool {
   // Introspection for benches and the serving layer's admission tuning:
   // total RunOnAllWorkers dispatches and the current queue depth.
   std::int64_t dispatches() const { return dispatches_.load(std::memory_order_relaxed); }
-  std::size_t queue_depth() const;
+  std::size_t queue_depth() const {
+    return static_cast<std::size_t>(queued_.load(std::memory_order_relaxed));
+  }
 
  private:
   struct Task {
@@ -78,10 +97,12 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
-  mutable std::mutex mu_;
+  bool spin_ = false;  // not oversubscribed: spin before parking
+  std::mutex mu_;
   std::condition_variable cv_;
   std::queue<Task> queue_;
   bool shutdown_ = false;
+  std::atomic<std::int64_t> queued_{0};  // queue_.size(), readable without mu_
   std::atomic<std::int64_t> dispatches_{0};
 };
 

@@ -697,99 +697,88 @@ std::int64_t Executor::ReconcileCarried(const Stage& stage) {
   }
 
   if (any_transform) {
-    std::mutex rebatch_error_mu;
-    std::exception_ptr rebatch_error;
+    // A throwing worker reaches this thread through the pool.
     pool_->RunOnAllWorkers([&](int w) {
-      try {
-        SplitContext ctx{w, num_threads};
-        for (std::size_t i = 0; i < nb; ++i) {
-          if (!sc.bufs[i].carried || modes[i] == Mode::kKeep) {
-            continue;
-          }
-          const auto& fr = final_ranges[static_cast<std::size_t>(w)];
-          auto& old = sc.carried_in[i].per_worker[static_cast<std::size_t>(w)];
-          std::vector<OrderedPiece> fresh;
-          fresh.reserve(fr.size());
-          for (const FinalRange& r : fr) {
-            if (modes[i] == Mode::kRebuild) {
+      SplitContext ctx{w, num_threads};
+      for (std::size_t i = 0; i < nb; ++i) {
+        if (!sc.bufs[i].carried || modes[i] == Mode::kKeep) {
+          continue;
+        }
+        const auto& fr = final_ranges[static_cast<std::size_t>(w)];
+        auto& old = sc.carried_in[i].per_worker[static_cast<std::size_t>(w)];
+        std::vector<OrderedPiece> fresh;
+        fresh.reserve(fr.size());
+        for (const FinalRange& r : fr) {
+          if (modes[i] == Mode::kRebuild) {
+            fresh.push_back({r.start, r.end,
+                             caps[i].full_splitter->Split(sc.bufs[i].full, r.start, r.end,
+                                                          sc.bufs[i].params, ctx)});
+          } else if (modes[i] == Mode::kRecut) {
+            // Cut [r.start, r.end) out of the sorted covering pieces;
+            // sources are shared across workers, so whole-piece reuse
+            // copies the Value instead of moving it.
+            const auto& srcs = recut_sources[i];
+            if (r.start >= r.end) {
               fresh.push_back({r.start, r.end,
-                               caps[i].full_splitter->Split(sc.bufs[i].full, r.start, r.end,
-                                                            sc.bufs[i].params, ctx)});
-            } else if (modes[i] == Mode::kRecut) {
-              // Cut [r.start, r.end) out of the sorted covering pieces;
-              // sources are shared across workers, so whole-piece reuse
-              // copies the Value instead of moving it.
-              const auto& srcs = recut_sources[i];
-              if (r.start >= r.end) {
-                fresh.push_back({r.start, r.end,
-                                 caps[i].piece_splitter->Split(srcs.front().piece, 0, 0,
-                                                               sc.bufs[i].params, ctx)});
-                continue;
-              }
-              auto it = std::upper_bound(
-                  srcs.begin(), srcs.end(), r.start,
-                  [](std::int64_t v, const OrderedPiece& p) { return v < p.end; });
-              std::vector<Value> parts;
-              for (; it != srcs.end() && it->start < r.end; ++it) {
-                const std::int64_t lo = std::max(r.start, it->start);
-                const std::int64_t hi = std::min(r.end, it->end);
-                if (lo == it->start && hi == it->end) {
-                  parts.push_back(it->piece);
-                } else {
-                  parts.push_back(caps[i].piece_splitter->Split(
-                      it->piece, lo - it->start, hi - it->start, sc.bufs[i].params, ctx));
-                }
-              }
-              if (parts.size() == 1) {
-                fresh.push_back({r.start, r.end, std::move(parts.front())});
+                               caps[i].piece_splitter->Split(srcs.front().piece, 0, 0,
+                                                             sc.bufs[i].params, ctx)});
+              continue;
+            }
+            auto it = std::upper_bound(
+                srcs.begin(), srcs.end(), r.start,
+                [](std::int64_t v, const OrderedPiece& p) { return v < p.end; });
+            std::vector<Value> parts;
+            for (; it != srcs.end() && it->start < r.end; ++it) {
+              const std::int64_t lo = std::max(r.start, it->start);
+              const std::int64_t hi = std::min(r.end, it->end);
+              if (lo == it->start && hi == it->end) {
+                parts.push_back(it->piece);
               } else {
-                fresh.push_back({r.start, r.end,
-                                 caps[i].piece_splitter->Merge(sc.bufs[i].full,
-                                                               std::move(parts),
-                                                               MergeParams(stage, i))});
-              }
-            } else if (op == Op::kSubdivide) {
-              OrderedPiece& src = old[r.src_lo];
-              if (r.start == src.start && r.end == src.end) {
-                fresh.push_back({r.start, r.end, std::move(src.piece)});
-              } else {
-                fresh.push_back(
-                    {r.start, r.end,
-                     caps[i].piece_splitter->Split(src.piece, r.start - src.start,
-                                                   r.end - src.start, sc.bufs[i].params,
-                                                   ctx)});
-              }
-            } else {  // coalesce
-              if (r.src_hi - r.src_lo == 1) {
-                fresh.push_back({r.start, r.end, std::move(old[r.src_lo].piece)});
-              } else {
-                std::vector<Value> group;
-                group.reserve(r.src_hi - r.src_lo);
-                for (std::size_t j = r.src_lo; j < r.src_hi; ++j) {
-                  group.push_back(std::move(old[j].piece));
-                }
-                // sc.bufs[i].full is empty for produced owned streams; a
-                // splitter whose Merge needs the original gets it when the
-                // slot still holds one.
-                fresh.push_back(
-                    {r.start, r.end,
-                     caps[i].piece_splitter->Merge(sc.bufs[i].full, std::move(group),
-                                                   MergeParams(stage, i))});
+                parts.push_back(caps[i].piece_splitter->Split(
+                    it->piece, lo - it->start, hi - it->start, sc.bufs[i].params, ctx));
               }
             }
+            if (parts.size() == 1) {
+              fresh.push_back({r.start, r.end, std::move(parts.front())});
+            } else {
+              fresh.push_back({r.start, r.end,
+                               caps[i].piece_splitter->Merge(sc.bufs[i].full,
+                                                             std::move(parts),
+                                                             MergeParams(stage, i))});
+            }
+          } else if (op == Op::kSubdivide) {
+            OrderedPiece& src = old[r.src_lo];
+            if (r.start == src.start && r.end == src.end) {
+              fresh.push_back({r.start, r.end, std::move(src.piece)});
+            } else {
+              fresh.push_back(
+                  {r.start, r.end,
+                   caps[i].piece_splitter->Split(src.piece, r.start - src.start,
+                                                 r.end - src.start, sc.bufs[i].params,
+                                                 ctx)});
+            }
+          } else {  // coalesce
+            if (r.src_hi - r.src_lo == 1) {
+              fresh.push_back({r.start, r.end, std::move(old[r.src_lo].piece)});
+            } else {
+              std::vector<Value> group;
+              group.reserve(r.src_hi - r.src_lo);
+              for (std::size_t j = r.src_lo; j < r.src_hi; ++j) {
+                group.push_back(std::move(old[j].piece));
+              }
+              // sc.bufs[i].full is empty for produced owned streams; a
+              // splitter whose Merge needs the original gets it when the
+              // slot still holds one.
+              fresh.push_back(
+                  {r.start, r.end,
+                   caps[i].piece_splitter->Merge(sc.bufs[i].full, std::move(group),
+                                                 MergeParams(stage, i))});
+            }
           }
-          old = std::move(fresh);
         }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(rebatch_error_mu);
-        if (!rebatch_error) {
-          rebatch_error = std::current_exception();
-        }
+        old = std::move(fresh);
       }
     });
-    if (rebatch_error) {
-      std::rethrow_exception(rebatch_error);
-    }
   }
   if (any_rebatch) {
     stats_->stages_rebatched.fetch_add(1, std::memory_order_relaxed);
@@ -814,177 +803,166 @@ void Executor::DriveBatches(const Stage& stage) {
 
   std::atomic<std::int64_t> cursor{0};       // dynamic: next unclaimed batch
   std::atomic<std::size_t> piece_cursor{0};  // dynamic carried: next piece
-  std::mutex error_mu;
-  std::exception_ptr first_error;
 
+  // A throwing worker reaches this thread through the pool, after every
+  // worker has stopped.
   pool_->RunOnAllWorkers([&](int t) {
-    try {
-      SplitContext ctx{t, num_threads};
-      Scratch::PerWorker& ws = sc.workers[static_cast<std::size_t>(t)];
-      std::vector<Value>& cur = ws.cur;
-      cur.assign(nb, Value());
+    SplitContext ctx{t, num_threads};
+    Scratch::PerWorker& ws = sc.workers[static_cast<std::size_t>(t)];
+    std::vector<Value>& cur = ws.cur;
+    cur.assign(nb, Value());
+    for (std::size_t i = 0; i < nb; ++i) {
+      if (stage.buffers[i].is_broadcast) {
+        cur[i] = sc.bufs[i].full;
+      }
+    }
+    ws.call_args.clear();
+    std::int64_t split_ns = 0;
+    std::int64_t task_ns = 0;
+    std::int64_t merge_ns = 0;
+    std::int64_t batches = 0;
+
+    // Runs the batch [b, e). cw/cidx locate the carried pieces feeding it
+    // (cw < 0 for range-driven stages).
+    auto run_batch = [&](std::int64_t b, std::int64_t e, int cw, std::size_t cidx) {
+      // Batch-boundary cancellation point: a stop thrown here is captured
+      // as this stage's first exception below.
+      opts_.cancel.ThrowIfStopped("batch boundary");
+      MZ_FAULT("exec.batch");
+      std::int64_t t0 = collect ? NowNanos() : 0;
       for (std::size_t i = 0; i < nb; ++i) {
-        if (stage.buffers[i].is_broadcast) {
-          cur[i] = sc.bufs[i].full;
+        if (sc.bufs[i].carried) {
+          OrderedPiece& carried =
+              sc.carried_in[i].per_worker[static_cast<std::size_t>(cw)][cidx];
+          if (pedantic) {
+            MZ_THROW_IF(!carried.piece.has_value(),
+                        "pedantic: carried piece for slot " << stage.buffers[i].slot
+                                                            << " range [" << b << ", " << e
+                                                            << ") is empty");
+          }
+          cur[i] = std::move(carried.piece);
+          continue;
+        }
+        if (!stage.buffers[i].is_input) {
+          continue;
+        }
+        MZ_FAULT("exec.split");
+        cur[i] = sc.bufs[i].splitter->Split(sc.bufs[i].full, b, e, sc.bufs[i].params, ctx);
+        if (pedantic) {
+          MZ_THROW_IF(!cur[i].has_value(), "pedantic: Split returned an empty value for slot "
+                                               << stage.buffers[i].slot << " range [" << b
+                                               << ", " << e << ")");
         }
       }
-      ws.call_args.clear();
-      std::int64_t split_ns = 0;
-      std::int64_t task_ns = 0;
-      std::int64_t merge_ns = 0;
-      std::int64_t batches = 0;
-
-      // Runs the batch [b, e). cw/cidx locate the carried pieces feeding it
-      // (cw < 0 for range-driven stages).
-      auto run_batch = [&](std::int64_t b, std::int64_t e, int cw, std::size_t cidx) {
-        // Batch-boundary cancellation point: a stop thrown here is captured
-        // as this stage's first exception below.
-        opts_.cancel.ThrowIfStopped("batch boundary");
-        MZ_FAULT("exec.batch");
-        std::int64_t t0 = collect ? NowNanos() : 0;
-        for (std::size_t i = 0; i < nb; ++i) {
-          if (sc.bufs[i].carried) {
-            OrderedPiece& carried =
-                sc.carried_in[i].per_worker[static_cast<std::size_t>(cw)][cidx];
-            if (pedantic) {
-              MZ_THROW_IF(!carried.piece.has_value(),
-                          "pedantic: carried piece for slot " << stage.buffers[i].slot
-                                                              << " range [" << b << ", " << e
-                                                              << ") is empty");
-            }
-            cur[i] = std::move(carried.piece);
-            continue;
-          }
-          if (!stage.buffers[i].is_input) {
-            continue;
-          }
-          MZ_FAULT("exec.split");
-          cur[i] = sc.bufs[i].splitter->Split(sc.bufs[i].full, b, e, sc.bufs[i].params, ctx);
-          if (pedantic) {
-            MZ_THROW_IF(!cur[i].has_value(), "pedantic: Split returned an empty value for slot "
-                                                 << stage.buffers[i].slot << " range [" << b
-                                                 << ", " << e << ")");
-          }
+      std::int64_t t1 = collect ? NowNanos() : 0;
+      for (const PlannedFunc& pf : stage.funcs) {
+        const Node& node = graph_->nodes()[static_cast<std::size_t>(pf.node_index)];
+        ws.call_args.clear();
+        for (const PlannedArg& arg : pf.args) {
+          ws.call_args.push_back(&cur[static_cast<std::size_t>(arg.buffer)]);
         }
-        std::int64_t t1 = collect ? NowNanos() : 0;
-        for (const PlannedFunc& pf : stage.funcs) {
-          const Node& node = graph_->nodes()[static_cast<std::size_t>(pf.node_index)];
-          ws.call_args.clear();
-          for (const PlannedArg& arg : pf.args) {
-            ws.call_args.push_back(&cur[static_cast<std::size_t>(arg.buffer)]);
-          }
-          if (pedantic) {
-            MZ_LOG(Trace) << "batch [" << b << "," << e << ") thread " << t << ": "
-                          << node.ann->func_name();
-          }
-          Value ret = node.fn->Call(ws.call_args);
-          if (pf.ret_buffer >= 0) {
-            cur[static_cast<std::size_t>(pf.ret_buffer)] = std::move(ret);
-          }
+        if (pedantic) {
+          MZ_LOG(Trace) << "batch [" << b << "," << e << ") thread " << t << ": "
+                        << node.ann->func_name();
         }
-        std::int64_t t2 = collect ? NowNanos() : 0;
-        for (std::size_t i = 0; i < nb; ++i) {
-          const StageBuffer& def = stage.buffers[i];
-          if (def.is_output || (elide && def.carry_out)) {
-            sc.pieces[i][static_cast<std::size_t>(t)].push_back({b, e, cur[i]});
-          }
-        }
-        if (collect) {
-          split_ns += t1 - t0;
-          task_ns += t2 - t1;
-        }
-        ++batches;
-      };
-
-      if (sc.template_buf >= 0) {
-        const auto& lists = sc.carried_in[static_cast<std::size_t>(sc.template_buf)].per_worker;
-        if (dynamic) {  // work stealing over the flattened piece list
-          for (;;) {
-            std::size_t j = piece_cursor.fetch_add(1, std::memory_order_relaxed);
-            if (j >= sc.flat.size()) {
-              break;
-            }
-            auto [w, idx] = sc.flat[j];
-            const OrderedPiece& tp = lists[static_cast<std::size_t>(w)][idx];
-            run_batch(tp.start, tp.end, w, idx);
-          }
-        } else {
-          // Static: each worker consumes the pieces it produced last stage —
-          // same contiguous in-order range, same cache affinity.
-          const auto& mine = lists[static_cast<std::size_t>(t)];
-          for (std::size_t idx = 0; idx < mine.size(); ++idx) {
-            run_batch(mine[idx].start, mine[idx].end, t, idx);
-          }
-        }
-      } else if (total == 0) {
-        // Run one empty batch on worker 0 so produced values keep their
-        // schema (e.g. an empty DataFrame with the right columns).
-        if (t == 0) {
-          run_batch(0, 0, -1, 0);
-        }
-      } else if (dynamic) {  // claim the next unprocessed batch
-        for (;;) {
-          std::int64_t b = cursor.fetch_add(batch, std::memory_order_relaxed);
-          if (b >= total) {
-            break;
-          }
-          run_batch(b, std::min(total, b + batch), -1, 0);
-        }
-      } else {
-        // Static partitioning (§5.2): one contiguous range per worker.
-        std::int64_t lo = std::min<std::int64_t>(total, static_cast<std::int64_t>(t) * chunk);
-        std::int64_t hi = std::min<std::int64_t>(total, lo + chunk);
-        for (std::int64_t b = lo; b < hi; b += batch) {
-          run_batch(b, std::min(hi, b + batch), -1, 0);
+        Value ret = node.fn->Call(ws.call_args);
+        if (pf.ret_buffer >= 0) {
+          cur[static_cast<std::size_t>(pf.ret_buffer)] = std::move(ret);
         }
       }
-
-      // Per-worker partial merges (§5.2 step 3, first level). Only valid
-      // under static scheduling, where a worker's pieces are a contiguous
-      // in-order range; dynamic mode defers to a single ordered merge.
-      // Carried-out buffers skip merging entirely — their pieces pass on.
-      if (!dynamic) {
-        for (std::size_t i = 0; i < nb; ++i) {
-          const StageBuffer& def = stage.buffers[i];
-          if (!def.is_output || (elide && def.carry_out)) {
-            continue;
-          }
-          std::vector<OrderedPiece>& mine = sc.pieces[i][static_cast<std::size_t>(t)];
-          if (mine.empty()) {
-            continue;
-          }
-          std::int64_t t3 = collect ? NowNanos() : 0;
-          std::vector<Value> values;
-          values.reserve(mine.size());
-          for (OrderedPiece& p : mine) {
-            values.push_back(std::move(p.piece));
-          }
-          const Splitter* ms = MergeSplitter(stage, i, values.front());
-          sc.partials[i][static_cast<std::size_t>(t)] =
-              ms->Merge(sc.bufs[i].full, std::move(values), MergeParams(stage, i));
-          mine.clear();
-          if (collect) {
-            merge_ns += NowNanos() - t3;
-          }
+      std::int64_t t2 = collect ? NowNanos() : 0;
+      for (std::size_t i = 0; i < nb; ++i) {
+        const StageBuffer& def = stage.buffers[i];
+        if (def.is_output || (elide && def.carry_out)) {
+          sc.pieces[i][static_cast<std::size_t>(t)].push_back({b, e, cur[i]});
         }
       }
       if (collect) {
-        stats_->split_ns.fetch_add(split_ns, std::memory_order_relaxed);
-        stats_->task_ns.fetch_add(task_ns, std::memory_order_relaxed);
-        stats_->merge_ns.fetch_add(merge_ns, std::memory_order_relaxed);
-        stats_->batches.fetch_add(batches, std::memory_order_relaxed);
+        split_ns += t1 - t0;
+        task_ns += t2 - t1;
       }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) {
-        first_error = std::current_exception();
+      ++batches;
+    };
+
+    if (sc.template_buf >= 0) {
+      const auto& lists = sc.carried_in[static_cast<std::size_t>(sc.template_buf)].per_worker;
+      if (dynamic) {  // work stealing over the flattened piece list
+        for (;;) {
+          std::size_t j = piece_cursor.fetch_add(1, std::memory_order_relaxed);
+          if (j >= sc.flat.size()) {
+            break;
+          }
+          auto [w, idx] = sc.flat[j];
+          const OrderedPiece& tp = lists[static_cast<std::size_t>(w)][idx];
+          run_batch(tp.start, tp.end, w, idx);
+        }
+      } else {
+        // Static: each worker consumes the pieces it produced last stage —
+        // same contiguous in-order range, same cache affinity.
+        const auto& mine = lists[static_cast<std::size_t>(t)];
+        for (std::size_t idx = 0; idx < mine.size(); ++idx) {
+          run_batch(mine[idx].start, mine[idx].end, t, idx);
+        }
+      }
+    } else if (total == 0) {
+      // Run one empty batch on worker 0 so produced values keep their
+      // schema (e.g. an empty DataFrame with the right columns).
+      if (t == 0) {
+        run_batch(0, 0, -1, 0);
+      }
+    } else if (dynamic) {  // claim the next unprocessed batch
+      for (;;) {
+        std::int64_t b = cursor.fetch_add(batch, std::memory_order_relaxed);
+        if (b >= total) {
+          break;
+        }
+        run_batch(b, std::min(total, b + batch), -1, 0);
+      }
+    } else {
+      // Static partitioning (§5.2): one contiguous range per worker.
+      std::int64_t lo = std::min<std::int64_t>(total, static_cast<std::int64_t>(t) * chunk);
+      std::int64_t hi = std::min<std::int64_t>(total, lo + chunk);
+      for (std::int64_t b = lo; b < hi; b += batch) {
+        run_batch(b, std::min(hi, b + batch), -1, 0);
       }
     }
-  });
 
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+    // Per-worker partial merges (§5.2 step 3, first level). Only valid
+    // under static scheduling, where a worker's pieces are a contiguous
+    // in-order range; dynamic mode defers to a single ordered merge.
+    // Carried-out buffers skip merging entirely — their pieces pass on.
+    if (!dynamic) {
+      for (std::size_t i = 0; i < nb; ++i) {
+        const StageBuffer& def = stage.buffers[i];
+        if (!def.is_output || (elide && def.carry_out)) {
+          continue;
+        }
+        std::vector<OrderedPiece>& mine = sc.pieces[i][static_cast<std::size_t>(t)];
+        if (mine.empty()) {
+          continue;
+        }
+        std::int64_t t3 = collect ? NowNanos() : 0;
+        std::vector<Value> values;
+        values.reserve(mine.size());
+        for (OrderedPiece& p : mine) {
+          values.push_back(std::move(p.piece));
+        }
+        const Splitter* ms = MergeSplitter(stage, i, values.front());
+        sc.partials[i][static_cast<std::size_t>(t)] =
+            ms->Merge(sc.bufs[i].full, std::move(values), MergeParams(stage, i));
+        mine.clear();
+        if (collect) {
+          merge_ns += NowNanos() - t3;
+        }
+      }
+    }
+    if (collect) {
+      stats_->split_ns.fetch_add(split_ns, std::memory_order_relaxed);
+      stats_->task_ns.fetch_add(task_ns, std::memory_order_relaxed);
+      stats_->merge_ns.fetch_add(merge_ns, std::memory_order_relaxed);
+      stats_->batches.fetch_add(batches, std::memory_order_relaxed);
+    }
+  });
 }
 
 void Executor::RunMergeTree(const Stage& stage) {
@@ -1140,18 +1118,25 @@ void Executor::RunMergeTree(const Stage& stage) {
   // (order-preserving for concatenation merges); groups across all jobs
   // form one task list the pool drains, then the roots fold the group
   // results. Single-part jobs and 1-thread pools collapse to the direct
-  // k-ary merge.
-  std::size_t num_tasks = 0;
-  for (MergeJob& job : jobs) {
-    std::size_t groups = std::min<std::size_t>(static_cast<std::size_t>(std::max(num_threads, 1)),
-                                               (job.parts.size() + 1) / 2);
-    groups = std::max<std::size_t>(groups, 1);
+  // k-ary merge. Identity merges hand back the original value in O(1), so
+  // they stay one group on the calling thread and never cost a dispatch.
+  std::vector<std::pair<std::size_t, std::size_t>> tasks;  // fanned-out (job, group)
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    MergeJob& job = jobs[j];
+    const bool identity = job.ms->traits().merge_is_identity;
+    // At least 1: a job has at least one part.
+    const std::size_t groups = identity ? 1
+                                        : std::min<std::size_t>(
+                                              static_cast<std::size_t>(std::max(num_threads, 1)),
+                                              (job.parts.size() + 1) / 2);
     std::size_t per = (job.parts.size() + groups - 1) / groups;
     for (std::size_t g = 0; g * per < job.parts.size(); ++g) {
       job.groups.emplace_back(g * per, std::min(job.parts.size(), (g + 1) * per));
+      if (!identity) {
+        tasks.emplace_back(j, g);
+      }
     }
     job.group_results.resize(job.groups.size());
-    num_tasks += job.groups.size();
   }
 
   auto merge_group = [&](MergeJob& job, std::size_t g) {
@@ -1166,52 +1151,34 @@ void Executor::RunMergeTree(const Stage& stage) {
     job.group_results[g] = job.ms->Merge(sc.bufs[job.buf].full, std::move(group), job.params);
   };
 
-  if (num_threads > 1 && num_tasks > 1) {
+  const bool fan_out = num_threads > 1 && tasks.size() > 1;
+  if (fan_out) {
     // Fan the group merges out: (job, group) pairs claimed via a shared
     // cursor. Worker 0 is the calling thread (RunOnWorkers).
-    std::vector<std::pair<std::size_t, std::size_t>> tasks;
-    tasks.reserve(num_tasks);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (std::size_t g = 0; g < jobs[j].groups.size(); ++g) {
-        tasks.emplace_back(j, g);
-      }
-    }
+    // A throwing merge reaches this thread through the pool.
     std::atomic<std::size_t> task_cursor{0};
-    std::mutex merge_error_mu;
-    std::exception_ptr merge_error;
     pool_->RunOnWorkers(
         static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(num_threads),
                                                tasks.size())),
         [&](int) {
-          std::int64_t ns = 0;
-          try {
-            for (;;) {
-              std::size_t j = task_cursor.fetch_add(1, std::memory_order_relaxed);
-              if (j >= tasks.size()) {
-                break;
-              }
-              std::int64_t t0 = collect ? NowNanos() : 0;
-              merge_group(jobs[tasks[j].first], tasks[j].second);
-              if (collect) {
-                ns += NowNanos() - t0;
-              }
+          for (;;) {
+            std::size_t j = task_cursor.fetch_add(1, std::memory_order_relaxed);
+            if (j >= tasks.size()) {
+              break;
             }
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(merge_error_mu);
-            if (!merge_error) {
-              merge_error = std::current_exception();
-            }
-          }
-          if (collect) {
-            stats_->merge_ns.fetch_add(ns, std::memory_order_relaxed);
+            ScopedAccumTimer merge_timer(collect ? &stats_->merge_ns : nullptr);
+            merge_group(jobs[tasks[j].first], tasks[j].second);
           }
         });
-    if (merge_error) {
-      std::rethrow_exception(merge_error);
-    }
-  } else {
+  }
+  {
+    // Whatever was not fanned out: identity jobs, or every job when the
+    // merge work is a single group or the pool a single thread.
     ScopedAccumTimer merge_timer(collect ? &stats_->merge_ns : nullptr);
     for (MergeJob& job : jobs) {
+      if (fan_out && !job.ms->traits().merge_is_identity) {
+        continue;
+      }
       for (std::size_t g = 0; g < job.groups.size(); ++g) {
         merge_group(job, g);
       }

@@ -92,10 +92,10 @@ struct ExecOptions {
   double rebatch_threshold = 2.0;
   // Cooperative cancellation (cancel.h): checked at stage boundaries, at
   // every batch a worker claims, and before each merge group. A stop thrown
-  // on a worker is captured as that stage's first exception; the other
-  // workers hit the same check at their next batch, so static and dynamic
-  // schedules both abandon the plan promptly and the throw surfaces on the
-  // calling thread. Inert by default: checks cost one null test.
+  // on a worker is captured by the pool's dispatch barrier (thread_pool.h);
+  // the other workers hit the same check at their next batch, so static and
+  // dynamic schedules both abandon the plan promptly and the throw surfaces
+  // on the calling thread. Inert by default: checks cost one null test.
   CancelToken cancel;
 };
 

@@ -34,6 +34,10 @@ Runtime::Runtime(RuntimeOptions opts) : opts_(opts), registry_(&Registry::Global
     owned_pool_ = std::make_unique<ThreadPool>(threads);
     pool_ = owned_pool_.get();
   }
+  if (opts_.plan_cache == nullptr) {
+    owned_plan_cache_ = std::make_unique<PlanCache>(PlanCacheOptions{});
+    opts_.plan_cache = owned_plan_cache_.get();
+  }
   if (opts_.admission != nullptr && opts_.quota_evals_per_sec > 0.0) {
     opts_.admission->SetQuota(opts_.admission_session, opts_.quota_evals_per_sec);
     quota_installed_ = true;
@@ -176,44 +180,36 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
     pre_evaluate_hook_();  // lazy heap: unprotect before workers touch memory
   }
 
-  // Plan — through the cache when one is wired up. Fingerprinting, lookup,
-  // and template instantiation all count as planner time, so Fig. 5's
-  // breakdown shows exactly what the cache saves.
+  // Plan through the cache. Fingerprinting, lookup, and template
+  // instantiation all count as planner time, so Fig. 5's breakdown shows
+  // exactly what the cache saves.
   Plan plan;
   {
     ScopedAccumTimer timer(opts_.collect_stats ? &stats_.planner_ns : nullptr);
-    bool cached = false;
-    RangeFingerprint fp;
-    if (opts_.plan_cache != nullptr) {
-      MZ_FAULT("plan_cache.lookup");
-      fp = FingerprintRange(graph_, *registry_, first, end, opts_.pipeline);
-      if (std::shared_ptr<const Plan> tmpl = opts_.plan_cache->Lookup(fp.key)) {
-        plan = InstantiatePlan(*tmpl, fp.canon_slots, first);
-        stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        cached = true;
-      }
-    }
-    if (!cached) {
+    MZ_FAULT("plan_cache.lookup");
+    RangeFingerprint fp = FingerprintRange(graph_, *registry_, first, end, opts_.pipeline);
+    if (std::shared_ptr<const Plan> tmpl = opts_.plan_cache->Lookup(fp.key)) {
+      plan = InstantiatePlan(*tmpl, fp.canon_slots, first);
+      stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
       Planner planner(graph_, *registry_, opts_.pipeline);
       plan = planner.Build(first, end);
       stats_.plans_built.fetch_add(1, std::memory_order_relaxed);
-      if (opts_.plan_cache != nullptr) {
-        stats_.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
-        // A registration between the fingerprint and Build would bake
-        // new-registry ctor results into a plan filed under the old-version
-        // key; skip the insert and let the next evaluation re-key.
-        if (registry_->version() == fp.registry_version) {
-          PlanCacheInsertOutcome outcome = opts_.plan_cache->Insert(
-              fp.key, MakePlanTemplate(plan, fp.canon_slots, first), std::move(fp.pins));
-          stats_.plan_cache_bytes_inserted.fetch_add(
-              static_cast<std::int64_t>(outcome.inserted_bytes), std::memory_order_relaxed);
-          stats_.plan_cache_evictions.fetch_add(
-              static_cast<std::int64_t>(outcome.evicted_entries), std::memory_order_relaxed);
-          stats_.plan_cache_bytes_evicted.fetch_add(
-              static_cast<std::int64_t>(outcome.evicted_bytes), std::memory_order_relaxed);
-          EvalStats::MaxInto(stats_.plan_cache_true_bytes,
-                             static_cast<std::int64_t>(outcome.resident_bytes));
-        }
+      stats_.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
+      // A registration between the fingerprint and Build would bake
+      // new-registry ctor results into a plan filed under the old-version
+      // key; skip the insert and let the next evaluation re-key.
+      if (registry_->version() == fp.registry_version) {
+        PlanCacheInsertOutcome outcome = opts_.plan_cache->Insert(
+            fp.key, MakePlanTemplate(plan, fp.canon_slots, first), std::move(fp.pins));
+        stats_.plan_cache_bytes_inserted.fetch_add(
+            static_cast<std::int64_t>(outcome.inserted_bytes), std::memory_order_relaxed);
+        stats_.plan_cache_evictions.fetch_add(
+            static_cast<std::int64_t>(outcome.evicted_entries), std::memory_order_relaxed);
+        stats_.plan_cache_bytes_evicted.fetch_add(
+            static_cast<std::int64_t>(outcome.evicted_bytes), std::memory_order_relaxed);
+        EvalStats::MaxInto(stats_.plan_cache_true_bytes,
+                           static_cast<std::int64_t>(outcome.resident_bytes));
       }
     }
   }

@@ -65,6 +65,8 @@ struct RuntimeOptions {
   // through one queue (thread_pool.h).
   ThreadPool* shared_pool = nullptr;
   // Reuse plans across evaluations (and across sessions sharing the cache).
+  // Null = the runtime builds a private cache with default PlanCacheOptions,
+  // so a plain runtime evaluating the same graph shape in a loop plans once.
   PlanCache* plan_cache = nullptr;
   // Token gate bounding concurrent use of the shared pool.
   AdmissionGate* admission = nullptr;
@@ -156,9 +158,9 @@ class Runtime {
   // outlive its invocation (resolve or drop them before returning — Reset
   // enforces this); carry results across firings through values or a
   // StreamAccumulator instead. Equal-size windows fingerprint identically,
-  // so with a plan cache wired up every steady-state firing instantiates the
-  // first firing's template without touching the planner. Returns the number
-  // of firings. Per-firing counters: window_firings, window_lag_ns.
+  // so every steady-state firing instantiates the first firing's cached
+  // template without touching the planner. Returns the number of firings.
+  // Per-firing counters: window_firings, window_lag_ns.
   std::int64_t EvalStream(StreamSource& source, const StreamOptions& opts,
                           const std::function<void(const Value& window, std::int64_t firing)>& body);
 
@@ -170,7 +172,7 @@ class Runtime {
   EvalStats& stats() { return stats_; }
   Registry& registry() { return *registry_; }
   ThreadPool& pool() { return *pool_; }
-  PlanCache* plan_cache() { return opts_.plan_cache; }
+  PlanCache* plan_cache() { return opts_.plan_cache; }  // never null
 
   // Introspection (tests, benches).
   int num_pending_nodes();
@@ -209,6 +211,7 @@ class Runtime {
   Registry* registry_;
   std::unique_ptr<ThreadPool> owned_pool_;   // null when using a shared pool
   ThreadPool* pool_ = nullptr;               // owned_pool_ or opts_.shared_pool
+  std::unique_ptr<PlanCache> owned_plan_cache_;  // null when opts_.plan_cache was set
   std::unique_ptr<ThreadPool> serial_pool_;  // created on first inline eval
   std::recursive_mutex mu_;
   TaskGraph graph_;

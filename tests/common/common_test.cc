@@ -3,6 +3,7 @@
 // pool, and aligned buffers have dedicated suites (interner_test.cc,
 // thread_pool_test.cc, aligned_test.cc).
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cctype>
@@ -141,5 +142,16 @@ TEST(CpuTest, SaneTopology) {
   EXPECT_GE(mz::LlcBytes(), mz::L2CacheBytes());
   EXPECT_GE(mz::CacheLineBytes(), 16u);
 }
+
+#ifdef __linux__
+TEST(CpuTest, LogicalCpusHonorsAffinityMask) {
+  // taskset/cpusets narrow the usable CPUs below the online count; pools
+  // sized from NumLogicalCpus() must follow the mask.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(mz::NumLogicalCpus(), CPU_COUNT(&mask));
+}
+#endif
 
 }  // namespace

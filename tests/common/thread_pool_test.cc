@@ -1,13 +1,16 @@
 // Unit tests for the fixed-size thread pool: ParallelFor partition
-// correctness, RunOnAllWorkers coverage, and nested-parallelism composition.
+// correctness, RunOnAllWorkers coverage, nested-parallelism composition,
+// exception propagation, and spin-then-park handoff.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -131,6 +134,87 @@ TEST(ThreadPoolTest, RunOnWorkersBoundsTheDispatchWidth) {
   ran.store(0);
   pool.RunOnWorkers(0, [&](int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 1);  // at least the caller runs
+}
+
+TEST(ThreadPoolTest, WorkerExceptionSurfacesOnCallerAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.RunOnAllWorkers([](int worker) {
+    if (worker == 1) {
+      throw std::runtime_error("worker 1 failed");
+    }
+  }),
+               std::runtime_error);
+  EXPECT_THROW(pool.ParallelFor(0, 300,
+                                [](std::int64_t begin, std::int64_t) {
+                                  if (begin > 0) {
+                                    throw std::runtime_error("chunk failed");
+                                  }
+                                }),
+               std::runtime_error);
+
+  // The failed dispatches left no task behind: the pool runs every worker
+  // again.
+  std::atomic<int> ran{0};
+  pool.RunOnAllWorkers([&](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+TEST(ThreadPoolTest, CallerExceptionWaitsForWorkers) {
+  // The body captures this frame by reference; the exception from the
+  // caller's inline worker 0 must not unwind it while worker 1 still runs.
+  ThreadPool pool(2);
+  std::atomic<bool> worker_done{false};
+  try {
+    pool.RunOnAllWorkers([&](int worker) {
+      if (worker == 0) {
+        throw std::runtime_error("caller failed");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      worker_done.store(true);
+    });
+    FAIL() << "expected the caller's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller failed");
+    EXPECT_TRUE(worker_done.load()) << "rethrown before worker 1 finished";
+  }
+}
+
+TEST(ThreadPoolTest, ParkedAndSpinningDispatchesComplete) {
+  ThreadPool pool(3);
+  auto dispatch_once = [&pool] {
+    std::atomic<unsigned> seen{0};
+    std::atomic<int> calls{0};
+    pool.RunOnAllWorkers([&](int worker) {
+      seen.fetch_or(1u << worker);
+      calls.fetch_add(1);
+    });
+    return calls.load() == 3 && seen.load() == 0b111u;
+  };
+
+  // Idle longer than the spin window, so the workers are parked on the
+  // condition variable when the dispatch arrives.
+  ASSERT_TRUE(dispatch_once());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(dispatch_once());
+
+  // Back to back from two threads: workers stay in their spin window and
+  // the two callers' tasks interleave through one queue.
+  constexpr int kDispatches = 10000;
+  std::atomic<int> bad{0};
+  auto hammer = [&] {
+    for (int i = 0; i < kDispatches / 2; ++i) {
+      if (!dispatch_once()) {
+        bad.fetch_add(1);
+      }
+    }
+  };
+  std::thread other(hammer);
+  hammer();
+  other.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(pool.dispatches(), kDispatches + 2);
+  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsAliveAndSizedToMachine) {

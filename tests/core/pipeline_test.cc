@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/client.h"
-#include "core/plan_cache.h"
 #include "core/runtime.h"
 #include "dataframe/annotated.h"
 #include "vecmath/annotated.h"
@@ -299,6 +298,32 @@ TEST(StageAtATimeFailure, MidChainExceptionPropagatesDynamic) {
   RunMidChainThrow(/*dynamic=*/true);
 }
 
+// ---- merge tree ----
+
+TEST(MergeTree, IdentityMergesDoNotDispatch) {
+  // Both outputs are written in place through ArraySplit, whose merge is
+  // the identity: resolving them costs no pool round trip, so the stage's
+  // only dispatch is the batch drive.
+  const long n = 50000;
+  std::vector<double> a(static_cast<std::size_t>(n), 4.0);
+  std::vector<double> roots(static_cast<std::size_t>(n));
+  std::vector<double> exps(static_cast<std::size_t>(n));
+  Runtime rt(Opts(2));
+  for (int eval = 0; eval < 3; ++eval) {
+    const std::int64_t before = rt.pool().dispatches();
+    {
+      RuntimeScope scope(&rt);
+      mzvec::Sqrt(n, a.data(), roots.data());
+      mzvec::Exp(n, roots.data(), exps.data());
+      rt.Evaluate();
+    }
+    EXPECT_EQ(rt.pool().dispatches() - before, 1) << "evaluation " << eval;
+  }
+  EXPECT_EQ(rt.stats().Take().stages, 3);
+  EXPECT_EQ(roots.front(), 2.0);
+  EXPECT_EQ(exps.back(), std::exp(2.0));
+}
+
 // ---- plan-template round trip (warm cache reproduces the schedule) ----
 
 TEST(StageTemplate, WarmPlanCacheReproducesBatches) {
@@ -309,10 +334,8 @@ TEST(StageTemplate, WarmPlanCacheReproducesBatches) {
   const long n = 120000;
   std::vector<double> a(static_cast<std::size_t>(n), 4.0);
   df::Column base = MakeColumn(20000);
-  PlanCache cache;
   RuntimeOptions opts = Opts();
   opts.pipeline = false;
-  opts.plan_cache = &cache;
   Runtime rt(opts);
 
   auto run = [&] {

@@ -501,22 +501,42 @@ TEST_F(PlanCacheRuntimeTest, WarmHitReproducesElisionBitIdentical) {
   }
 }
 
-TEST_F(PlanCacheRuntimeTest, NoCacheConfiguredAlwaysPlans) {
+TEST_F(PlanCacheRuntimeTest, PlainRuntimeReusesItsPrivateCache) {
+  // No cache configured: the runtime builds its own, so the second of two
+  // identical captures instantiates the first one's template.
   const long n = 8000;
   std::vector<double> a = Iota(n, 1.0);
   std::vector<double> b = Iota(n, 2.0);
   std::vector<double> got(static_cast<std::size_t>(n));
+  std::vector<double> want = Expected(n, a, b);
 
   Runtime rt(MakeOptions(nullptr));
-  RuntimeScope scope(&rt);
-  Capture(n, a.data(), b.data(), got.data());
-  rt.Evaluate();
-  Capture(n, a.data(), b.data(), got.data());
-  rt.Evaluate();
+  ASSERT_NE(rt.plan_cache(), nullptr);
+  {
+    RuntimeScope scope(&rt);
+    Capture(n, a.data(), b.data(), got.data());
+    rt.Evaluate();
+    Capture(n, a.data(), b.data(), got.data());
+    rt.Evaluate();
+  }
+  EXPECT_EQ(got, want);
   EvalStats::Snapshot s = rt.stats().Take();
-  EXPECT_EQ(s.plans_built, 2);
-  EXPECT_EQ(s.plan_cache_hits, 0);
-  EXPECT_EQ(s.plan_cache_misses, 0);
+  EXPECT_EQ(s.plans_built, 1);
+  EXPECT_EQ(s.plan_cache_hits, 1);
+  EXPECT_EQ(s.plan_cache_misses, 1);
+
+  // The cache is private: another plain runtime starts cold.
+  Runtime other(MakeOptions(nullptr));
+  EXPECT_NE(other.plan_cache(), rt.plan_cache());
+  {
+    RuntimeScope scope(&other);
+    Capture(n, a.data(), b.data(), got.data());
+    other.Evaluate();
+  }
+  EvalStats::Snapshot o = other.stats().Take();
+  EXPECT_EQ(o.plans_built, 1);
+  EXPECT_EQ(o.plan_cache_hits, 0);
+  EXPECT_EQ(o.plan_cache_misses, 1);
 }
 
 }  // namespace

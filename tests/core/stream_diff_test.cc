@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/plan_cache.h"
 #include "core/runtime.h"
 #include "core/stream.h"
 #include "dataframe/annotated.h"
@@ -148,10 +147,7 @@ void RunTrial(const Knobs& k, std::uint64_t seed) {
   stream_out.reserve(static_cast<std::size_t>(total));
   mz::StreamAccumulator acc("ReduceAdd");
   {
-    mz::RuntimeOptions o = MakeOpts(k, batch_override);
-    mz::PlanCache cache;  // steady-state firings instantiate cached templates
-    o.plan_cache = &cache;
-    mz::Runtime rt(o);
+    mz::Runtime rt(MakeOpts(k, batch_override));
 
     mz::StreamSource src;
     for (long off = 0; off < total; off += chunk) {

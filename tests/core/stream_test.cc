@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/plan_cache.h"
 #include "core/runtime.h"
 #include "core/stream.h"
 #include "dataframe/annotated.h"
@@ -205,10 +204,7 @@ TEST(StreamSourceTest, PushAfterCloseThrows) {
 
 TEST(EvalStreamTest, SteadyStateIsRePlanFree) {
   mzvec::EnsureRegistered();
-  mz::PlanCache cache;
-  mz::RuntimeOptions o = Opts();
-  o.plan_cache = &cache;
-  mz::Runtime rt(o);
+  mz::Runtime rt(Opts());
 
   const long kWindow = 512, kFirings = 8;
   mz::StreamSource src;
@@ -242,10 +238,7 @@ TEST(EvalStreamTest, SteadyStateIsRePlanFree) {
 
 TEST(EvalStreamTest, FinalPartialWindowPlansOnceMore) {
   mzvec::EnsureRegistered();
-  mz::PlanCache cache;
-  mz::RuntimeOptions o = Opts();
-  o.plan_cache = &cache;
-  mz::Runtime rt(o);
+  mz::Runtime rt(Opts());
 
   const long kWindow = 256;
   mz::StreamSource src;
