@@ -6,14 +6,12 @@
 // stop fitting in cache and lose the pipelining benefit; the heuristic lands
 // within ~10% of the best point.
 //
-// Extension (ISSUE 5): a footprint-blowup workload — a narrow producer stage
-// (small per-element footprint → large batches) feeding a wide consumer
-// stage across an elided boundary (many live arrays → the carried batches
-// overflow L2 several times over). Sweeps the single global heuristic
-// (batch_per_stage=false: the consumer inherits the producer's granularity)
-// against footprint-aware per-stage batching (the carried pieces re-batch
-// to the consumer's size), plus the no-elision baseline. Emits
-// MOZART_BENCH_JSON metrics for BENCH_PR5.json.
+// Extension: a footprint-blowup workload — a narrow producer stage (small
+// per-element footprint → large batches) feeding a wide consumer stage
+// across an elided boundary (many live arrays → the carried batches would
+// overflow L2 several times over). Compares footprint-aware per-stage
+// batching (the carried pieces re-batch to the consumer's size) with the
+// no-elision baseline. Emits MOZART_BENCH_JSON metrics.
 #include <cstdio>
 #include <vector>
 
@@ -109,12 +107,10 @@ void RunFootprintBlowup(long n, int wide, int passes, int threads) {
   struct Config {
     const char* name;
     bool elide;
-    bool per_stage;
   };
   constexpr Config kConfigs[] = {
-      {"-elide", false, true},          // merge + re-split: correct batch, boundary cost
-      {"+elide,global", true, false},   // inherit producer granularity (pre-ISSUE-5)
-      {"+elide,per-stage", true, true}, // re-batch carried pieces to the stage's size
+      {"-elide", false},           // merge + re-split: correct batch, boundary cost
+      {"+elide,per-stage", true},  // re-batch carried pieces to the stage's size
   };
   const char* workload = "footprint-blowup";
   double base_seconds = 0;
@@ -122,7 +118,6 @@ void RunFootprintBlowup(long n, int wide, int passes, int threads) {
     mz::RuntimeOptions opts;
     opts.num_threads = threads;
     opts.elide_boundaries = cfg.elide;
-    opts.batch_per_stage = cfg.per_stage;
     mz::Runtime rt(opts);
     FootprintBlowup w(n, wide, passes);
     w.Run(&rt);  // warm up (touches every page)
@@ -168,8 +163,8 @@ int main() {
   Sweep("(b) nBody — element = 1 matrix row", &nb, {1, 4, 16, 64, 256, 1024, 2048},
         std::max<std::int64_t>(nb_heur, 1));
 
-  // (c) the ISSUE 5 workload: small input elements, wide consumer rows —
-  // global vs. per-stage batching across an elided boundary.
+  // (c) small input elements, wide consumer rows — per-stage batching
+  // across an elided boundary vs. no elision.
   RunFootprintBlowup(bench::Scaled(4 << 20), /*wide=*/12, /*passes=*/4, mz::NumLogicalCpus());
   return 0;
 }

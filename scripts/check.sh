@@ -14,10 +14,25 @@
 #                                   # (advisory — single-core CI wall times
 #                                   # are too noisy to gate on)
 #   MOZART_CHECK_JOBS=4 scripts/check.sh   # override build/test parallelism
+#
+# Flags combine (scripts/check.sh --asan --chaos runs both); an unknown flag
+# prints this usage and exits 2 before anything is built.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs="${MOZART_CHECK_JOBS:-$(nproc)}"
+
+usage() { sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//'; }
+asan=0 bench_diff=0 chaos=0 tsan=0
+for arg in "$@"; do
+  case "$arg" in
+    --asan) asan=1 ;;
+    --bench-diff) bench_diff=1 ;;
+    --chaos) chaos=1 ;;
+    --tsan) tsan=1 ;;
+    *) echo "check.sh: unknown flag '$arg'" >&2; usage >&2; exit 2 ;;
+  esac
+done
 
 echo "== tier-1: cmake -B build -S . && cmake --build build -j && ctest =="
 # Pin the options the gate depends on so a stale CMake cache (e.g. a manual
@@ -26,14 +41,14 @@ cmake -B build -S . -DMZ_SANITIZE=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$jobs"
 (cd build && ctest --output-on-failure -j "$jobs")
 
-if [[ "${1:-}" == "--asan" ]]; then
+if (( asan )); then
   echo "== sanitize: -DMZ_SANITIZE=address (ASan + UBSan) =="
   cmake -B build-asan -S . -DMZ_SANITIZE=address
   cmake --build build-asan -j "$jobs"
   (cd build-asan && ctest --output-on-failure -j "$jobs")
 fi
 
-if [[ "${1:-}" == "--bench-diff" ]]; then
+if (( bench_diff )); then
   # Compare the two most recent committed bench snapshots (by PR number).
   # Advisory: prints REGRESSION markers but never fails the check.
   mapfile -t snaps < <(ls BENCH_PR*.json 2>/dev/null | sort -t R -k 2 -n | tail -2)
@@ -45,7 +60,7 @@ if [[ "${1:-}" == "--bench-diff" ]]; then
   fi
 fi
 
-if [[ "${1:-}" == "--chaos" ]]; then
+if (( chaos )); then
   # Extended chaos sweep: the `chaos` label is the seeded fault-injection
   # battery (tests/core/chaos_test.cc). Plain ctest already runs it at 26
   # seeds per knob cell; this widens the sweep. Deterministic per seed: a
@@ -55,7 +70,7 @@ if [[ "${1:-}" == "--chaos" ]]; then
   (cd build && MZ_CHAOS_SEEDS="$seeds" ctest --output-on-failure -L chaos)
 fi
 
-if [[ "${1:-}" == "--tsan" ]]; then
+if (( tsan )); then
   # Concurrency-focused subset: the serving layer (sessions, plan cache,
   # admission, batching — the `serving` label groups its test battery), the
   # runtime, and the pool. The full suite under TSan's ~10x slowdown is not

@@ -16,7 +16,6 @@ BatchCollector::BatchCollector(ThreadPool* pool, BatchOptions opts)
         BatchOptions o = opts;
         o.window_us = std::max<std::int64_t>(0, o.window_us);
         o.max_batch = std::max(1, o.max_batch);
-        o.arrival_ewma_alpha = std::clamp(o.arrival_ewma_alpha, 1e-3, 1.0);
         return o;
       }()) {
   MZ_CHECK_MSG(pool_ != nullptr, "BatchCollector needs a pool");
@@ -73,8 +72,7 @@ void BatchCollector::Run(std::function<void()> fn, EvalStats* stats, std::int64_
                    8.0 * static_cast<double>(opts_.window_us));
       ewma_gap_us_ = ewma_gap_us_ < 0.0
                          ? gap_us
-                         : opts_.arrival_ewma_alpha * gap_us +
-                               (1.0 - opts_.arrival_ewma_alpha) * ewma_gap_us_;
+                         : kArrivalEwmaAlpha * gap_us + (1.0 - kArrivalEwmaAlpha) * ewma_gap_us_;
     }
     last_arrival_ns_ = now_ns;
   }

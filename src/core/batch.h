@@ -48,11 +48,13 @@ struct BatchOptions {
   // each leader wait only as long as that gap predicts a rider could
   // actually show up — a lone client's window shrinks to zero instead of
   // paying window_us per evaluation, while bursty traffic keeps (up to) the
-  // full window. false = fixed window (the pre-adaptive ablation).
+  // full window. false = fixed window, which makes coalescing tests
+  // deterministic (an adaptive leader with no arrival history waits 0).
   bool adaptive_window = false;
-  // EWMA weight of one new inter-arrival gap, in (0, 1].
-  double arrival_ewma_alpha = 0.25;
 };
+
+// EWMA weight of one new inter-arrival gap in the adaptive window.
+inline constexpr double kArrivalEwmaAlpha = 0.25;
 
 class BatchCollector {
  public:

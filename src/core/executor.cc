@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cpu.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/timer.h"
@@ -106,9 +107,7 @@ std::int64_t Executor::HeuristicBatchElems(std::int64_t sum_bytes_per_element,
   if (sum_bytes_per_element <= 0) {
     return 0;
   }
-  std::int64_t budget = static_cast<std::int64_t>(opts_.l2_fraction *
-                                                  static_cast<double>(opts_.l2_bytes)) -
-                        resident_bytes;
+  const std::int64_t budget = static_cast<std::int64_t>(L2CacheBytes()) - resident_bytes;
   if (budget <= 0) {
     // Resident operands (broadcast values) already overflow the cache
     // budget; the smallest batch at least bounds the marginal working set.
@@ -132,7 +131,7 @@ void Executor::Run(const Plan& plan) {
 }
 
 void Executor::RunSerialStage(const Stage& stage) {
-  ScopedAccumTimer timer(opts_.collect_stats ? &stats_->task_ns : nullptr);
+  ScopedAccumTimer timer(&stats_->task_ns);
   for (const PlannedFunc& pf : stage.funcs) {
     opts_.cancel.ThrowIfStopped("serial stage");
     const Node& node = graph_->nodes()[static_cast<std::size_t>(pf.node_index)];
@@ -340,36 +339,34 @@ void Executor::SourcePieces(const Stage& stage) {
   // size (a hash join's build side), so they charge *resident* bytes that
   // shrink the batch budget instead of per-element bytes.
   std::int64_t resident = 0;
-  if (opts_.batch_per_stage) {
-    for (std::size_t i = 0; i < nb; ++i) {
-      const StageBuffer& def = stage.buffers[i];
-      if (def.is_broadcast) {
-        if (auto info = registry_->ProbeRuntimeInfo(sc.bufs[i].full);
-            info.has_value() && info->bytes_per_element > 0 && info->total_elements > 0) {
-          resident += info->total_elements * info->bytes_per_element;
-        }
-        continue;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const StageBuffer& def = stage.buffers[i];
+    if (def.is_broadcast) {
+      if (auto info = registry_->ProbeRuntimeInfo(sc.bufs[i].full);
+          info.has_value() && info->bytes_per_element > 0 && info->total_elements > 0) {
+        resident += info->total_elements * info->bytes_per_element;
       }
-      if (!sc.bufs[i].carried && def.is_input) {
-        continue;  // fresh inputs already contributed their Info() width
-      }
-      std::int64_t bpe = def.elem_bytes_hint;
-      if (sc.bufs[i].carried) {
-        const Value* sample = FirstPiece(sc.carried_in[i].per_worker);
-        if (sample != nullptr) {
-          try {
-            const Splitter* s = MergeSplitter(stage, i, *sample);
-            RuntimeInfo piece_info = s->Info(*sample, MergeParams(stage, i));
-            if (piece_info.bytes_per_element > 0) {
-              bpe = piece_info.bytes_per_element;
-            }
-          } catch (const std::exception&) {
-            // Unsizable pieces keep the static hint.
-          }
-        }
-      }
-      sum_bpe += bpe;
+      continue;
     }
+    if (!sc.bufs[i].carried && def.is_input) {
+      continue;  // fresh inputs already contributed their Info() width
+    }
+    std::int64_t bpe = def.elem_bytes_hint;
+    if (sc.bufs[i].carried) {
+      const Value* sample = FirstPiece(sc.carried_in[i].per_worker);
+      if (sample != nullptr) {
+        try {
+          const Splitter* s = MergeSplitter(stage, i, *sample);
+          RuntimeInfo piece_info = s->Info(*sample, MergeParams(stage, i));
+          if (piece_info.bytes_per_element > 0) {
+            bpe = piece_info.bytes_per_element;
+          }
+        } catch (const std::exception&) {
+          // Unsizable pieces keep the static hint.
+        }
+      }
+    }
+    sum_bpe += bpe;
   }
 
   // Per-stage batch from the footprint. Carried stages need it too: it is
@@ -409,7 +406,7 @@ void Executor::SourcePieces(const Stage& stage) {
                   << " elems, batch=" << sc.batch << " (sum_bpe=" << sum_bpe
                   << " resident=" << resident << ")";
   }
-  if (opts_.collect_stats && sum_bpe > 0 && granularity > 0) {
+  if (sum_bpe > 0 && granularity > 0) {
     EvalStats::MaxInto(stats_->footprint_bytes_max, granularity * sum_bpe);
   }
 }
@@ -461,12 +458,11 @@ std::int64_t Executor::ReconcileCarried(const Stage& stage) {
   // but never below one piece per worker — that is the parallelism).
   enum class Op { kNone, kSubdivide, kCoalesce };
   Op op = Op::kNone;
-  const double thresh = opts_.rebatch_threshold;
-  if (opts_.batch_per_stage && thresh > 0 && total > 0 && npieces > 0) {
+  if (total > 0 && npieces > 0) {
     const double avg = static_cast<double>(total) / static_cast<double>(npieces);
-    if (avg > static_cast<double>(batch) * thresh) {
+    if (avg > static_cast<double>(batch) * kRebatchThreshold) {
       op = Op::kSubdivide;
-    } else if (avg * thresh < static_cast<double>(batch) && npieces > num_threads) {
+    } else if (avg * kRebatchThreshold < static_cast<double>(batch) && npieces > num_threads) {
       op = Op::kCoalesce;
     }
   }
@@ -794,7 +790,6 @@ void Executor::DriveBatches(const Stage& stage) {
   const bool elide = opts_.elide_boundaries;
   const bool dynamic = opts_.dynamic_scheduling;
   const bool pedantic = opts_.pedantic;
-  const bool collect = opts_.collect_stats;
   Scratch& sc = *scratch_;
   const std::size_t nb = stage.buffers.size();
   const std::int64_t total = sc.total;
@@ -829,7 +824,7 @@ void Executor::DriveBatches(const Stage& stage) {
       // as this stage's first exception below.
       opts_.cancel.ThrowIfStopped("batch boundary");
       MZ_FAULT("exec.batch");
-      std::int64_t t0 = collect ? NowNanos() : 0;
+      const std::int64_t t0 = NowNanos();
       for (std::size_t i = 0; i < nb; ++i) {
         if (sc.bufs[i].carried) {
           OrderedPiece& carried =
@@ -854,7 +849,7 @@ void Executor::DriveBatches(const Stage& stage) {
                                                << ", " << e << ")");
         }
       }
-      std::int64_t t1 = collect ? NowNanos() : 0;
+      const std::int64_t t1 = NowNanos();
       for (const PlannedFunc& pf : stage.funcs) {
         const Node& node = graph_->nodes()[static_cast<std::size_t>(pf.node_index)];
         ws.call_args.clear();
@@ -870,17 +865,15 @@ void Executor::DriveBatches(const Stage& stage) {
           cur[static_cast<std::size_t>(pf.ret_buffer)] = std::move(ret);
         }
       }
-      std::int64_t t2 = collect ? NowNanos() : 0;
+      const std::int64_t t2 = NowNanos();
       for (std::size_t i = 0; i < nb; ++i) {
         const StageBuffer& def = stage.buffers[i];
         if (def.is_output || (elide && def.carry_out)) {
           sc.pieces[i][static_cast<std::size_t>(t)].push_back({b, e, cur[i]});
         }
       }
-      if (collect) {
-        split_ns += t1 - t0;
-        task_ns += t2 - t1;
-      }
+      split_ns += t1 - t0;
+      task_ns += t2 - t1;
       ++batches;
     };
 
@@ -941,7 +934,7 @@ void Executor::DriveBatches(const Stage& stage) {
         if (mine.empty()) {
           continue;
         }
-        std::int64_t t3 = collect ? NowNanos() : 0;
+        const std::int64_t t3 = NowNanos();
         std::vector<Value> values;
         values.reserve(mine.size());
         for (OrderedPiece& p : mine) {
@@ -951,23 +944,18 @@ void Executor::DriveBatches(const Stage& stage) {
         sc.partials[i][static_cast<std::size_t>(t)] =
             ms->Merge(sc.bufs[i].full, std::move(values), MergeParams(stage, i));
         mine.clear();
-        if (collect) {
-          merge_ns += NowNanos() - t3;
-        }
+        merge_ns += NowNanos() - t3;
       }
     }
-    if (collect) {
-      stats_->split_ns.fetch_add(split_ns, std::memory_order_relaxed);
-      stats_->task_ns.fetch_add(task_ns, std::memory_order_relaxed);
-      stats_->merge_ns.fetch_add(merge_ns, std::memory_order_relaxed);
-      stats_->batches.fetch_add(batches, std::memory_order_relaxed);
-    }
+    stats_->split_ns.fetch_add(split_ns, std::memory_order_relaxed);
+    stats_->task_ns.fetch_add(task_ns, std::memory_order_relaxed);
+    stats_->merge_ns.fetch_add(merge_ns, std::memory_order_relaxed);
+    stats_->batches.fetch_add(batches, std::memory_order_relaxed);
   });
 }
 
 void Executor::RunMergeTree(const Stage& stage) {
   const int num_threads = pool_->num_threads();
-  const bool collect = opts_.collect_stats;
   Scratch& sc = *scratch_;
 
   // Hand carried-out buffers to their consuming stage and collect merge
@@ -993,31 +981,29 @@ void Executor::RunMergeTree(const Stage& stage) {
       }
       stats_->boundaries_elided.fetch_add(1, std::memory_order_relaxed);
       stats_->carry_pieces.fetch_add(piece_count, std::memory_order_relaxed);
-      if (collect) {
-        // Best-effort accounting of the merge traffic this elision
-        // avoided. Identity merges move no bytes and contribute nothing.
-        try {
-          const Value* sample = FirstPiece(sc.pieces[i]);
-          if (sample != nullptr) {
-            const Splitter* ms = MergeSplitter(stage, i, *sample);
-            if (!ms->traits().merge_is_identity) {
-              std::int64_t bytes = 0;
-              for (const auto& per_worker : sc.pieces[i]) {
-                for (const OrderedPiece& p : per_worker) {
-                  if (!p.piece.has_value()) {
-                    continue;
-                  }
-                  RuntimeInfo info = ms->Info(p.piece, {});
-                  bytes += info.total_elements * info.bytes_per_element;
+      // Best-effort accounting of the merge traffic this elision
+      // avoided. Identity merges move no bytes and contribute nothing.
+      try {
+        const Value* sample = FirstPiece(sc.pieces[i]);
+        if (sample != nullptr) {
+          const Splitter* ms = MergeSplitter(stage, i, *sample);
+          if (!ms->traits().merge_is_identity) {
+            std::int64_t bytes = 0;
+            for (const auto& per_worker : sc.pieces[i]) {
+              for (const OrderedPiece& p : per_worker) {
+                if (!p.piece.has_value()) {
+                  continue;
                 }
+                RuntimeInfo info = ms->Info(p.piece, {});
+                bytes += info.total_elements * info.bytes_per_element;
               }
-              stats_->bytes_merge_avoided.fetch_add(bytes, std::memory_order_relaxed);
             }
+            stats_->bytes_merge_avoided.fetch_add(bytes, std::memory_order_relaxed);
           }
-        } catch (const std::exception&) {
-          // Accounting only; a split type that cannot Info() its own
-          // pieces simply reports no avoided bytes.
         }
+      } catch (const std::exception&) {
+        // Accounting only; a split type that cannot Info() its own
+        // pieces simply reports no avoided bytes.
       }
       MZ_CHECK_MSG(carried_.count(def.slot) == 0,
                    "slot " << def.slot << " already has carried pieces in flight");
@@ -1166,7 +1152,7 @@ void Executor::RunMergeTree(const Stage& stage) {
             if (j >= tasks.size()) {
               break;
             }
-            ScopedAccumTimer merge_timer(collect ? &stats_->merge_ns : nullptr);
+            ScopedAccumTimer merge_timer(&stats_->merge_ns);
             merge_group(jobs[tasks[j].first], tasks[j].second);
           }
         });
@@ -1174,7 +1160,7 @@ void Executor::RunMergeTree(const Stage& stage) {
   {
     // Whatever was not fanned out: identity jobs, or every job when the
     // merge work is a single group or the pool a single thread.
-    ScopedAccumTimer merge_timer(collect ? &stats_->merge_ns : nullptr);
+    ScopedAccumTimer merge_timer(&stats_->merge_ns);
     for (MergeJob& job : jobs) {
       if (fan_out && !job.ms->traits().merge_is_identity) {
         continue;
@@ -1188,7 +1174,7 @@ void Executor::RunMergeTree(const Stage& stage) {
   // Root merges: fold each job's group results (associative merges — the
   // same property the per-worker pre-merge already relies on).
   {
-    ScopedAccumTimer merge_timer(collect ? &stats_->merge_ns : nullptr);
+    ScopedAccumTimer merge_timer(&stats_->merge_ns);
     for (MergeJob& job : jobs) {
       if (job.group_results.size() == 1) {
         job.final_value = std::move(job.group_results.front());

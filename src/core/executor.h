@@ -9,7 +9,8 @@
 //     stage and reconcile them with its batch choice (ReconcileCarried), or
 //     resolve fresh inputs — call each split input's Info() to learn total
 //     element counts and per-element cache footprints — and set the batch
-//     size to roughly C * sizeof(L2 cache) / sum(bytes per element).
+//     size to roughly sizeof(L2 cache) / sum(bytes per element) (the
+//     paper's constant C is 1).
 //  2. Batch driver (DriveBatches): workers statically partition the element
 //     range (one contiguous chunk per worker) or, under dynamic scheduling,
 //     claim batches from a shared counter; carried stages walk the carried
@@ -35,7 +36,7 @@
 // inputs plus the planner's splitter-declared hints for produced values and
 // carried pieces (StageBuffer::elem_bytes_hint). When a consuming stage's
 // chosen granularity diverges from its carried pieces by more than
-// rebatch_threshold, the pieces are re-batched before the stage runs:
+// kRebatchThreshold, the pieces are re-batched before the stage runs:
 // subdivided (identity streams re-slice the original storage — pointer
 // arithmetic; owned streams re-Split their own pieces when the splitter
 // declares can_subdivide) or coalesced per worker (adjacent pieces merged
@@ -62,12 +63,14 @@
 
 namespace mz {
 
+// Re-batch a carried stage when its piece granularity is more than this
+// factor away from the stage's chosen batch (avg piece > threshold×batch
+// subdivides; avg×threshold < batch coalesces).
+inline constexpr double kRebatchThreshold = 2.0;
+
 struct ExecOptions {
   std::int64_t batch_override = 0;  // 0 = use the L2 heuristic
-  double l2_fraction = 1.0;         // the paper's constant C
-  std::size_t l2_bytes = 256 * 1024;
-  bool pedantic = false;      // §7.1 debugging mode: hard-fail on bad splits
-  bool collect_stats = true;  // phase timers (Fig. 5)
+  bool pedantic = false;            // §7.1 debugging mode: hard-fail on bad splits
   // The paper opts for static parallelism "because it is simpler to schedule
   // and... leads to similar results for most workloads; however, dynamic
   // work-stealing schedulers such as Cilk are also compatible" (§5.2). With
@@ -79,17 +82,6 @@ struct ExecOptions {
   // Honor the planner's stage-boundary carry marks (piece passing). Off =
   // the ablation: merge at every stage exit, re-split at every entry.
   bool elide_boundaries = true;
-  // Footprint-aware per-stage batching: include produced values and carried
-  // pieces (via StageBuffer::elem_bytes_hint) in the batch-size footprint,
-  // and re-batch carried pieces whose granularity diverges from the stage's
-  // choice. Off = the pre-footprint behavior: only freshly split inputs
-  // count and carried stages inherit the producer's granularity verbatim.
-  bool batch_per_stage = true;
-  // Re-batch a carried stage when its piece granularity is more than this
-  // factor away from the stage's chosen batch (avg piece > threshold×batch
-  // coalesces nothing but subdivides; avg×threshold < batch coalesces).
-  // <= 0 disables re-batching while keeping the footprint model.
-  double rebatch_threshold = 2.0;
   // Cooperative cancellation (cancel.h): checked at stage boundaries, at
   // every batch a worker claims, and before each merge group. A stop thrown
   // on a worker is captured by the pool's dispatch barrier (thread_pool.h);
@@ -111,11 +103,12 @@ class Executor {
   // threads are rethrown on the calling thread.
   void Run(const Plan& plan);
 
-  // Batch size the heuristic would choose for a given per-element footprint
-  // (exposed for tests and the Fig. 6 bench). `resident_bytes` is cache
-  // budget consumed by values that sit resident for the whole stage
-  // regardless of the batch size — broadcast ("_") operands such as a hash
-  // join's build side — and is subtracted from the budget before dividing.
+  // Batch size the heuristic would choose for a given per-element footprint:
+  // L2CacheBytes() over the footprint (exposed for tests and the Fig. 6
+  // bench). `resident_bytes` is cache budget consumed by values that sit
+  // resident for the whole stage regardless of the batch size — broadcast
+  // ("_") operands such as a hash join's build side — and is subtracted from
+  // the budget before dividing.
   std::int64_t HeuristicBatchElems(std::int64_t sum_bytes_per_element,
                                    std::int64_t resident_bytes = 0) const;
 

@@ -102,7 +102,7 @@ SlotId Runtime::RegisterNode(std::shared_ptr<const Annotation> ann,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   MZ_THROW_IF(evaluating_, "cannot capture a call while the runtime is evaluating (annotated "
                            "functions must not call other annotated functions)");
-  ScopedAccumTimer timer(opts_.collect_stats ? &stats_.client_ns : nullptr);
+  ScopedAccumTimer timer(&stats_.client_ns);
 
   std::vector<SlotId> slots;
   slots.reserve(bindings.size());
@@ -185,7 +185,7 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
   // exactly what the cache saves.
   Plan plan;
   {
-    ScopedAccumTimer timer(opts_.collect_stats ? &stats_.planner_ns : nullptr);
+    ScopedAccumTimer timer(&stats_.planner_ns);
     MZ_FAULT("plan_cache.lookup");
     RangeFingerprint fp = FingerprintRange(graph_, *registry_, first, end, opts_.pipeline);
     if (std::shared_ptr<const Plan> tmpl = opts_.plan_cache->Lookup(fp.key)) {
@@ -208,7 +208,7 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
             static_cast<std::int64_t>(outcome.evicted_entries), std::memory_order_relaxed);
         stats_.plan_cache_bytes_evicted.fetch_add(
             static_cast<std::int64_t>(outcome.evicted_bytes), std::memory_order_relaxed);
-        EvalStats::MaxInto(stats_.plan_cache_true_bytes,
+        EvalStats::MaxInto(stats_.plan_cache_resident_bytes,
                            static_cast<std::int64_t>(outcome.resident_bytes));
       }
     }
@@ -216,14 +216,9 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
 
   ExecOptions exec_opts;
   exec_opts.batch_override = opts_.batch_elems_override;
-  exec_opts.l2_fraction = opts_.batch_l2_fraction;
-  exec_opts.l2_bytes = L2CacheBytes();
   exec_opts.pedantic = opts_.pedantic;
-  exec_opts.collect_stats = opts_.collect_stats;
   exec_opts.dynamic_scheduling = opts_.dynamic_scheduling;
   exec_opts.elide_boundaries = opts_.elide_boundaries;
-  exec_opts.batch_per_stage = opts_.batch_per_stage;
-  exec_opts.rebatch_threshold = opts_.rebatch_threshold;
   exec_opts.cancel = eval_opts.cancel;
 
   // Admission (see admission.h): small plans stay on the calling thread —
@@ -268,12 +263,10 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
         batched = opts_.batcher != nullptr;
         stats_.serial_evals.fetch_add(1, std::memory_order_relaxed);
       } else if (gate != nullptr) {
-        std::int64_t t0 = opts_.collect_stats ? NowNanos() : 0;
+        const std::int64_t t0 = NowNanos();
         ticket = gate->Acquire(opts_.admission_session, opts_.admission_weight,
                                eval_opts.cancel);
-        if (opts_.collect_stats) {
-          stats_.admission_wait_ns.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
-        }
+        stats_.admission_wait_ns.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
         // Cancelled while queued but granted anyway (the grant/cancel race
         // lands on the grant side): give the token straight back via the
         // ticket's unwind rather than burning it on work nobody wants.
@@ -332,7 +325,7 @@ std::int64_t Runtime::EvalStream(
     // consumer of this firing's results observes. Source wait time (chunks
     // not yet pushed) is upstream slack, not runtime cost, and is excluded
     // by starting the clock after Next() returns.
-    std::int64_t t0 = opts_.collect_stats ? NowNanos() : 0;
+    const std::int64_t t0 = NowNanos();
     body(*window, firings);
     // A body that already forced evaluation (Future::get) leaves nothing
     // pending and this is a no-op; either way exactly one evaluation runs
@@ -340,10 +333,8 @@ std::int64_t Runtime::EvalStream(
     EvalOptions eo;
     eo.cancel = opts.cancel;
     Evaluate(eo);
-    if (opts_.collect_stats) {
-      stats_.window_firings.fetch_add(1, std::memory_order_relaxed);
-      stats_.window_lag_ns.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
-    }
+    stats_.window_firings.fetch_add(1, std::memory_order_relaxed);
+    stats_.window_lag_ns.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
     ++firings;
     Reset();  // throws if the body leaked a Future out of its scope
   }

@@ -37,8 +37,6 @@ struct RuntimeOptions {
   bool pipeline = true;             // false = Table 4's "-pipe" ablation
   bool pedantic = false;            // §7.1 debugging mode
   std::int64_t batch_elems_override = 0;  // 0 = L2 heuristic (§5.2)
-  double batch_l2_fraction = 1.0;         // the heuristic's constant C
-  bool collect_stats = true;
   // Work-stealing batch scheduling instead of the paper's default static
   // partitioning (§5.2 explicitly allows both; see ExecOptions).
   bool dynamic_scheduling = false;
@@ -48,16 +46,6 @@ struct RuntimeOptions {
   // re-splitting (ExecOptions::elide_boundaries). Off = the ablation that
   // merges at every stage exit, as the paper describes.
   bool elide_boundaries = true;
-  // Footprint-aware per-stage batching: size each stage's batch from the
-  // bytes *that stage* keeps live per element (split inputs via Info(),
-  // produced values and carried pieces via splitter-declared widths), and
-  // re-batch carried pieces whose granularity diverges from the stage's
-  // choice by more than rebatch_threshold. batch_per_stage=false restores
-  // the pre-footprint behavior (inputs-only sum, carried granularity
-  // inherited verbatim); rebatch_threshold<=0 keeps the footprint model but
-  // never re-cuts carried pieces.
-  bool batch_per_stage = true;
-  double rebatch_threshold = 2.0;
 
   // --- serving-layer wiring (session.h) — all non-owning, may be null ---
   // Execute on this pool instead of constructing a private one. The pool is

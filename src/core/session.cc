@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/check.h"
 #include "common/cpu.h"
 #include "common/fault.h"
 #include "common/timer.h"
@@ -29,11 +30,10 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
     if (tuning.max_cutoff_elems <= 0) {
       tuning.max_cutoff_elems = 16 * tuning.base_cutoff_elems;
     }
-    tuning.fair = opts_.fair_admission;
     opts_.admission_tuning = tuning;
     admission_ = std::make_unique<AdmissionGate>(tuning);
   } else {
-    admission_ = std::make_unique<AdmissionGate>(tokens, opts_.fair_admission);
+    admission_ = std::make_unique<AdmissionGate>(tokens);
   }
 
   if (opts_.plan_cache != nullptr) {
@@ -42,9 +42,6 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
     owned_plan_cache_ = std::make_unique<PlanCache>(PlanCacheOptions{
         .max_entries = opts_.plan_cache_entries,
         .max_bytes = opts_.plan_cache_bytes,
-        .policy = opts_.plan_cache_policy,
-        .accounting = opts_.plan_cache_true_bytes ? CacheAccounting::kTrueBytes
-                                                  : CacheAccounting::kEstimate,
     });
     plan_cache_ = owned_plan_cache_.get();
   }
@@ -144,8 +141,39 @@ bool ServingContext::Drain(std::int64_t deadline_ns) {
   }
 }
 
+namespace {
+
+// Rejects wiring set on SessionOptions::runtime: the session overwrites it,
+// so a caller's value would otherwise be dropped without a word.
+void CheckNoRuntimeWiring(const RuntimeOptions& rt) {
+  const RuntimeOptions dflt;
+  auto reject_if = [](bool changed, const char* field, const char* instead) {
+    MZ_THROW_IF(changed, "SessionOptions::runtime." << field
+                                                     << " is owned by the session; set " << instead
+                                                     << " instead");
+  };
+  reject_if(rt.shared_pool != dflt.shared_pool, "shared_pool", "ServingOptions::pool_threads");
+  reject_if(rt.plan_cache != dflt.plan_cache, "plan_cache", "ServingOptions::plan_cache");
+  reject_if(rt.admission != dflt.admission, "admission",
+            "ServingOptions::max_pool_sessions / adaptive_admission");
+  reject_if(rt.batcher != dflt.batcher, "batcher", "ServingOptions::batch_window_us");
+  reject_if(rt.serial_cutoff_elems != dflt.serial_cutoff_elems, "serial_cutoff_elems",
+            "ServingOptions::serial_cutoff_elems");
+  reject_if(rt.admission_session != dflt.admission_session, "admission_session",
+            "SessionOptions::admission_session");
+  reject_if(rt.admission_weight != dflt.admission_weight, "admission_weight",
+            "SessionOptions::admission_weight");
+  reject_if(rt.quota_evals_per_sec != dflt.quota_evals_per_sec, "quota_evals_per_sec",
+            "SessionOptions::quota_evals_per_sec");
+  reject_if(rt.quota_bytes_per_sec != dflt.quota_bytes_per_sec, "quota_bytes_per_sec",
+            "SessionOptions::quota_bytes_per_sec");
+}
+
+}  // namespace
+
 Session::Session(SessionOptions opts)
     : serving_(opts.serving != nullptr ? opts.serving : &ServingContext::Default()) {
+  CheckNoRuntimeWiring(opts.runtime);
   RuntimeOptions rt_opts = opts.runtime;
   rt_opts.shared_pool = &serving_->pool();
   rt_opts.plan_cache = &serving_->plan_cache();

@@ -45,10 +45,9 @@ struct ServingOptions {
   // elements run inline on the client's thread (admission.h).
   std::int64_t serial_cutoff_elems = 4096;
   std::size_t plan_cache_entries = 1024;
-  // Byte budget for an owned plan cache (0 = entry count only) and its
-  // eviction policy; both ignored when `plan_cache` overrides the cache.
+  // Byte budget for an owned plan cache (0 = entry count only); ignored
+  // when `plan_cache` overrides the cache.
   std::size_t plan_cache_bytes = 0;
-  EvictionPolicy plan_cache_policy = EvictionPolicy::kLru;
   PlanCache* plan_cache = nullptr;  // non-owning override; null = private cache
   // Queue-depth-adaptive admission (admission.h): the gate shrinks its token
   // budget and grows the inline cutoff as the shared pool congests. Zeros in
@@ -57,23 +56,15 @@ struct ServingOptions {
   bool adaptive_admission = false;
   AdmissionOptions admission_tuning{.max_tokens = 0, .base_cutoff_elems = 0,
                                     .max_cutoff_elems = 0};
-  // Per-session weighted deficit-round-robin for contended admission tokens
-  // (admission.h): a sparse session's wait stays bounded no matter how deep
-  // a chatty neighbor's backlog is. false = the strict-FIFO ablation, where
-  // one session's flood delays everyone queued behind it.
-  bool fair_admission = true;
   // Cross-session micro-batching (batch.h): > 0 coalesces inline-class plans
   // arriving within this window into one pool dispatch.
   std::int64_t batch_window_us = 0;
   int batch_max_plans = 8;
   // Arrival-rate-adaptive batching window (batch.h): leaders wait only as
   // long as the inter-arrival EWMA predicts a rider, so a lone client stops
-  // paying batch_window_us per evaluation. false = fixed-window ablation.
+  // paying batch_window_us per evaluation. false = fixed window, which
+  // tests use for deterministic coalescing.
   bool adaptive_batch_window = true;
-  // Charge the owned plan cache's byte budget with allocator-true entry
-  // footprints (plan_cache.h CountPlanHeapBytes). false = the structural-
-  // estimate ablation. Ignored when `plan_cache` overrides the cache.
-  bool plan_cache_true_bytes = true;
 };
 
 class Session;
@@ -112,7 +103,7 @@ class ServingContext {
 
   int num_live_sessions();
 
-  // Graceful drain (ISSUE 10): stops admitting new evaluations (they throw
+  // Graceful drain: stops admitting new evaluations (they throw
   // OverloadError{kDraining}; queued admission waiters are woken and
   // rejected the same way), flushes the batch collector so no leader sleeps
   // out a window for riders that will never come, then waits for in-flight
@@ -144,9 +135,14 @@ class ServingContext {
 };
 
 struct SessionOptions {
-  // Per-session runtime knobs. shared_pool / plan_cache / admission /
-  // serial_cutoff_elems are overwritten with the serving context's wiring;
-  // num_threads is ignored (the pool is shared).
+  // Per-session runtime knobs (pipeline, pedantic, batch override,
+  // scheduling, elision); num_threads is ignored (the pool is shared). The
+  // session owns the runtime's wiring: Session throws mz::Error if any of
+  // these is changed from its RuntimeOptions{} default —
+  //   shared_pool, plan_cache, admission, batcher, serial_cutoff_elems:
+  //     come from the ServingContext (ServingOptions);
+  //   admission_session, admission_weight, quota_evals_per_sec,
+  //   quota_bytes_per_sec: set the SessionOptions fields of the same name.
   RuntimeOptions runtime;
   ServingContext* serving = nullptr;  // null = ServingContext::Default()
   // Identity for the gate's per-session round-robin. 0 = auto-assign a

@@ -31,8 +31,8 @@ std::string EvalStats::Snapshot::ToString() const {
       }
       os << "]";
     }
-    if (plan_cache_true_bytes > 0) {
-      os << " [cache resident<=" << plan_cache_true_bytes << " bytes]";
+    if (plan_cache_resident_bytes > 0) {
+      os << " [cache resident<=" << plan_cache_resident_bytes << " bytes]";
     }
   }
   if (boundaries_elided > 0) {

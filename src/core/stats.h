@@ -85,7 +85,7 @@ class EvalStats {
     // plan-cache residency this session's inserts observed (bytes; max-
     // aggregated like footprint_bytes_max).
     std::int64_t batch_window_adapted_us = 0;
-    std::int64_t plan_cache_true_bytes = 0;
+    std::int64_t plan_cache_resident_bytes = 0;
     // Request-lifecycle outcomes (ISSUE 9): evaluations rejected up front
     // because the admission backlog already exceeded their deadline (shed)
     // or because the tenant's rate quota was exhausted (quota), and
@@ -150,7 +150,7 @@ class EvalStats {
       window_lag_ns += other.window_lag_ns;
       incremental_merges += other.incremental_merges;
       batch_window_adapted_us += other.batch_window_adapted_us;
-      plan_cache_true_bytes = std::max(plan_cache_true_bytes, other.plan_cache_true_bytes);
+      plan_cache_resident_bytes = std::max(plan_cache_resident_bytes, other.plan_cache_resident_bytes);
       shed_evals += other.shed_evals;
       quota_rejects += other.quota_rejects;
       deadline_evals += other.deadline_evals;
@@ -200,7 +200,7 @@ class EvalStats {
     s.window_lag_ns = window_lag_ns.load(std::memory_order_relaxed);
     s.incremental_merges = incremental_merges.load(std::memory_order_relaxed);
     s.batch_window_adapted_us = batch_window_adapted_us.load(std::memory_order_relaxed);
-    s.plan_cache_true_bytes = plan_cache_true_bytes.load(std::memory_order_relaxed);
+    s.plan_cache_resident_bytes = plan_cache_resident_bytes.load(std::memory_order_relaxed);
     s.shed_evals = shed_evals.load(std::memory_order_relaxed);
     s.quota_rejects = quota_rejects.load(std::memory_order_relaxed);
     s.deadline_evals = deadline_evals.load(std::memory_order_relaxed);
@@ -249,7 +249,7 @@ class EvalStats {
     window_lag_ns.fetch_add(s.window_lag_ns, std::memory_order_relaxed);
     incremental_merges.fetch_add(s.incremental_merges, std::memory_order_relaxed);
     batch_window_adapted_us.fetch_add(s.batch_window_adapted_us, std::memory_order_relaxed);
-    MaxInto(plan_cache_true_bytes, s.plan_cache_true_bytes);
+    MaxInto(plan_cache_resident_bytes, s.plan_cache_resident_bytes);
     shed_evals.fetch_add(s.shed_evals, std::memory_order_relaxed);
     quota_rejects.fetch_add(s.quota_rejects, std::memory_order_relaxed);
     deadline_evals.fetch_add(s.deadline_evals, std::memory_order_relaxed);
@@ -303,7 +303,7 @@ class EvalStats {
     window_lag_ns = 0;
     incremental_merges = 0;
     batch_window_adapted_us = 0;
-    plan_cache_true_bytes = 0;
+    plan_cache_resident_bytes = 0;
     shed_evals = 0;
     quota_rejects = 0;
     deadline_evals = 0;
@@ -348,7 +348,7 @@ class EvalStats {
   std::atomic<std::int64_t> window_lag_ns{0};
   std::atomic<std::int64_t> incremental_merges{0};
   std::atomic<std::int64_t> batch_window_adapted_us{0};
-  std::atomic<std::int64_t> plan_cache_true_bytes{0};
+  std::atomic<std::int64_t> plan_cache_resident_bytes{0};
   std::atomic<std::int64_t> shed_evals{0};
   std::atomic<std::int64_t> quota_rejects{0};
   std::atomic<std::int64_t> deadline_evals{0};

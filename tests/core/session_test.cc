@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/client.h"
@@ -227,6 +230,51 @@ TEST(SessionTest, AdoptProcessDefaultWiresTheDefaultRuntime) {
   // Once the default runtime exists its wiring is frozen.
   EXPECT_FALSE(ctx->AdoptProcessDefault());
   EXPECT_FALSE(Runtime::SetDefaultOptions(RuntimeOptions{}));
+}
+
+TEST(SessionTest, RejectsRuntimeWiringTheSessionOwns) {
+  ServingContext ctx(ServingOptions{.pool_threads = 2});
+  ThreadPool other_pool(1);
+  PlanCache other_cache;
+  AdmissionGate other_gate(1);
+  BatchCollector other_batcher(&other_pool, BatchOptions{});
+  const std::pair<const char*, std::function<void(RuntimeOptions&)>> cases[] = {
+      {"shared_pool", [&](RuntimeOptions& o) { o.shared_pool = &other_pool; }},
+      {"plan_cache", [&](RuntimeOptions& o) { o.plan_cache = &other_cache; }},
+      {"admission", [&](RuntimeOptions& o) { o.admission = &other_gate; }},
+      {"batcher", [&](RuntimeOptions& o) { o.batcher = &other_batcher; }},
+      {"serial_cutoff_elems", [](RuntimeOptions& o) { o.serial_cutoff_elems = 1; }},
+      {"admission_session", [](RuntimeOptions& o) { o.admission_session = 42; }},
+      {"admission_weight", [](RuntimeOptions& o) { o.admission_weight = 3; }},
+      {"quota_evals_per_sec", [](RuntimeOptions& o) { o.quota_evals_per_sec = 5; }},
+      {"quota_bytes_per_sec", [](RuntimeOptions& o) { o.quota_bytes_per_sec = 1e6; }},
+  };
+  for (const auto& [field, set] : cases) {
+    SCOPED_TRACE(field);
+    SessionOptions opts;
+    opts.serving = &ctx;
+    set(opts.runtime);
+    try {
+      Session session(opts);
+      ADD_FAILURE() << "runtime." << field << " was accepted and would be overwritten";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(ctx.num_live_sessions(), 0) << "a rejected session stayed registered";
+  }
+
+  // Per-session knobs the session does not own still pass through, and the
+  // SessionOptions fields named by the errors take effect.
+  SessionOptions ok;
+  ok.serving = &ctx;
+  ok.runtime.dynamic_scheduling = true;
+  ok.runtime.pedantic = true;
+  ok.admission_session = 42;
+  ok.quota_evals_per_sec = 5;
+  Session session(ok);
+  EXPECT_TRUE(session.runtime().options().dynamic_scheduling);
+  EXPECT_EQ(session.runtime().options().admission_session, 42u);
+  EXPECT_EQ(session.runtime().options().quota_evals_per_sec, 5);
 }
 
 TEST(SessionTest, FuturesResolveThroughSessions) {
