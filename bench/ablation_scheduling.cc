@@ -1,8 +1,8 @@
-// Design-choice ablation (DESIGN.md): static partitioning (the paper's
-// choice, §5.2) vs dynamic work stealing, on a uniform workload (Black
-// Scholes — per-element cost constant) and a skewed one (a filter whose
-// surviving rows concentrate in one region, so static ranges imbalance the
-// piece-construction work).
+// Design-choice ablation (docs/ARCHITECTURE.md, "The execution engine"):
+// static partitioning (the paper's choice, §5.2) vs dynamic work stealing,
+// on a uniform workload (Black Scholes — per-element cost constant) and a
+// skewed one (a filter whose surviving rows concentrate in one region, so
+// static ranges imbalance the piece-construction work).
 //
 // Expected: parity within noise on both — the paper's rationale for
 // defaulting to static ("it is simpler to schedule and... leads to similar

@@ -6,7 +6,8 @@
 # Usage:
 #   scripts/check.sh            # plain build + tests
 #   scripts/check.sh --asan     # additionally run the suite under ASan/UBSan
-#   scripts/check.sh --tsan     # additionally run core/common under TSan
+#   scripts/check.sh --tsan     # additionally run core/common/serving/vecmath/
+#                               # matrix under TSan
 #   scripts/check.sh --chaos    # extended seeded fault-injection sweep
 #                               # (MZ_CHAOS_SEEDS widens the per-cell seed
 #                               # range; default 50 → 200 matrix runs)
@@ -73,13 +74,15 @@ fi
 if (( tsan )); then
   # Concurrency-focused subset: the serving layer (sessions, plan cache,
   # admission, batching — the `serving` label groups its test battery), the
-  # runtime, and the pool. The full suite under TSan's ~10x slowdown is not
-  # worth the wall time; these labels cover every lock.
+  # runtime, the pool, and the vecmath/matrix kernels (they run in pool
+  # workers when a library call threads internally). The full suite under
+  # TSan's ~10x slowdown is not worth the wall time; these labels cover
+  # every lock.
   # lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV
   # handler by design (§4.1 protected memory), which trips TSan's
   # signal-safety checker — a design property, not a data race.
-  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving) =="
+  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|vecmath|matrix) =="
   cmake -B build-tsan -S . -DMZ_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
-  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving" -E lazy_heap)
+  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|vecmath|matrix" -E lazy_heap)
 fi

@@ -3,8 +3,8 @@
 //
 // A data-movement-optimizing JIT's end state for these pipelines is a single
 // fused parallel loop that keeps intermediates in registers; these kernels
-// are exactly that, written by hand (see DESIGN.md §3 for the substitution
-// argument). They also include the compute optimizations such compilers
+// are exactly that, written by hand (see docs/ARCHITECTURE.md, "Library
+// substitutions"). They also include the compute optimizations such compilers
 // apply where profitable — e.g. the image kernels compose whole chains of
 // 256-entry LUTs into one table before a single pass over the pixels, which
 // is why (as in the paper) compilers can beat Mozart on compute-heavy

@@ -4,7 +4,7 @@
 // that flows through the dataflow graph is carried as an `mz::Value`: a
 // shared, immutable-by-default holder tagged with the stored C++ type.
 //
-// Storage conventions (see DESIGN.md §4):
+// Storage conventions (paper §4; docs/ARCHITECTURE.md, single-client pipeline):
 //  * raw pointers (`double*`, `const Image*`, ...) are stored as the pointer
 //    itself — Mozart never owns user memory reached through a pointer;
 //  * object types (DataFrame, Matrix, std::vector, ...) are stored by value

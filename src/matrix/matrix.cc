@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
+#include "vecmath/lanes.h"
 
 namespace matrix {
 namespace {
@@ -55,33 +56,48 @@ void CheckSameShape(const Matrix* a, const Matrix* b, const Matrix* out) {
   }
 }
 
-template <typename F>
-void MapBinary(const Matrix* a, const Matrix* b, Matrix* out, F f) {
-  CheckSameShape(a, b, out);
-  long cols = a->cols();
-  DispatchRows(a->rows(), cols, [&](long r0, long r1) {
+// out = f(in...) elementwise, one row at a time. As in vecmath.cc, the row
+// loop is also instantiated in an AVX2 function so it vectorizes (this file
+// builds at -O3) at the width vecmath::lanes::Detected() picks; no
+// __restrict, since `out` may alias an input.
+template <typename F, typename... Row>
+[[gnu::always_inline]] inline void RowLoop(long cols, double* out, F f, Row... in) {
+  for (long c = 0; c < cols; ++c) {
+    out[c] = f(in[c]...);
+  }
+}
+
+template <typename F, typename... Row>
+MZ_AVX2 void RowLoopAvx2(long cols, double* out, F f, Row... in) {
+  RowLoop(cols, out, f, in...);
+}
+
+template <typename F, typename... In>
+void Map(Matrix* out, F f, const In*... in) {
+  (CheckSameShape(in, nullptr, out), ...);
+  const bool avx2 = vecmath::lanes::Detected() == vecmath::lanes::Width::kAvx2;
+  long cols = out->cols();
+  DispatchRows(out->rows(), cols, [&](long r0, long r1) {
     for (long r = r0; r < r1; ++r) {
-      const double* __restrict pa = a->row(r);
-      const double* __restrict pb = b->row(r);
-      double* __restrict po = out->row(r);
-      for (long c = 0; c < cols; ++c) {
-        po[c] = f(pa[c], pb[c]);
+      if (avx2) {
+        RowLoopAvx2(cols, out->row(r), f, in->row(r)...);
+      } else {
+        RowLoop(cols, out->row(r), f, in->row(r)...);
       }
     }
   });
 }
 
-template <typename F>
-void MapUnary(const Matrix* a, Matrix* out, F f) {
+// out = Op(a, args...) on libmvec lanes (vecmath/lanes.h), row by row; the
+// library's own row dispatch, not vecmath's.
+template <typename Op, typename... Args>
+void LaneMap(const Matrix* a, Matrix* out, Args... args) {
   CheckSameShape(a, nullptr, out);
+  const vecmath::lanes::Width w = vecmath::lanes::Detected();
   long cols = a->cols();
   DispatchRows(a->rows(), cols, [&](long r0, long r1) {
     for (long r = r0; r < r1; ++r) {
-      const double* __restrict pa = a->row(r);
-      double* __restrict po = out->row(r);
-      for (long c = 0; c < cols; ++c) {
-        po[c] = f(pa[c]);
-      }
+      vecmath::lanes::Map<Op>(w, cols, a->row(r), args..., out->row(r));
     }
   });
 }
@@ -151,63 +167,55 @@ void SetNumThreads(int threads) {
 int GetNumThreads() { return EffectiveThreads(); }
 
 void Add(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x + y; });
+  Map(out, [](double x, double y) { return x + y; }, a, b);
 }
 void Sub(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x - y; });
+  Map(out, [](double x, double y) { return x - y; }, a, b);
 }
 void Mul(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x * y; });
+  Map(out, [](double x, double y) { return x * y; }, a, b);
 }
 void Div(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x / y; });
+  Map(out, [](double x, double y) { return x / y; }, a, b);
 }
 
 void AddScalar(const Matrix* a, double c, Matrix* out) {
-  MapUnary(a, out, [c](double x) { return x + c; });
+  Map(out, [c](double x) { return x + c; }, a);
 }
 void MulScalar(const Matrix* a, double c, Matrix* out) {
-  MapUnary(a, out, [c](double x) { return x * c; });
+  Map(out, [c](double x) { return x * c; }, a);
 }
 
 void Fill(Matrix* m, double c) {
-  MapUnary(m, m, [c](double) { return c; });
+  Map(m, [c] { return c; });
 }
 
 void AddScaled(const Matrix* a, double alpha, const Matrix* b, Matrix* out) {
-  CheckSameShape(a, b, out);
-  long cols = a->cols();
-  DispatchRows(a->rows(), cols, [&](long r0, long r1) {
-    for (long r = r0; r < r1; ++r) {
-      const double* __restrict pa = a->row(r);
-      const double* __restrict pb = b->row(r);
-      double* __restrict po = out->row(r);
-      for (long c = 0; c < cols; ++c) {
-        po[c] = pa[c] + alpha * pb[c];
-      }
-    }
-  });
+  Map(out, [alpha](double x, double y) { return x + alpha * y; }, a, b);
 }
 
 void Sqrt(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return std::sqrt(x); });
+  LaneMap<vecmath::lanes::Sqrt>(a, out);
 }
 void Abs(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return std::fabs(x); });
+  Map(out, [](double x) { return std::fabs(x); }, a);
 }
 void Pow(const Matrix* a, double exponent, Matrix* out) {
-  MapUnary(a, out, [exponent](double x) { return std::pow(x, exponent); });
+  LaneMap<vecmath::lanes::Pow>(a, out, exponent);
 }
 void Inv(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return 1.0 / x; });
+  Map(out, [](double x) { return 1.0 / x; }, a);
 }
 
 void ClampMagnitude(const Matrix* a, double eps, Matrix* out) {
-  MapUnary(a, out, [eps](double x) {
-    double m = std::fabs(x);
-    double sign = x < 0 ? -1.0 : 1.0;
-    return sign * (m < eps ? eps : m);
-  });
+  Map(
+      out,
+      [eps](double x) {
+        double m = std::fabs(x);
+        double sign = x < 0 ? -1.0 : 1.0;
+        return sign * (m < eps ? eps : m);
+      },
+      a);
 }
 
 void NormalizeAxis(Matrix* m, int axis) {
@@ -356,7 +364,7 @@ void RollCols(const Matrix* a, long shift, Matrix* out) {
 }
 
 void CopyMatrix(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return x; });
+  Map(out, [](double x) { return x; }, a);
 }
 
 double SumAll(const Matrix* m) {

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
+#include "vecmath/lanes.h"
 
 namespace vecmath {
 namespace {
@@ -45,27 +46,54 @@ void Dispatch(long n, LoopBody body) {
   });
 }
 
-template <typename F>
-void MapUnary(long n, const double* a, double* out, F f) {
+// Plain maps: out[i] = f(in[i]...). The loop is written once and also
+// instantiated in an AVX2 function, so the compiler vectorizes it (this
+// file builds at -O3) at the width lanes::Detected() picks. IEEE + - * /
+// give the same bits at any width; no fast-math flag may change that. No
+// __restrict: `out` may alias an input exactly (MKL's in-place calls), and
+// the compiler's runtime overlap check admits that case.
+template <typename F, typename... In>
+[[gnu::always_inline]] inline void MapLoop(long lo, long hi, double* out, F f, In... in) {
+  for (long i = lo; i < hi; ++i) {
+    out[i] = f(in[i]...);
+  }
+}
+
+template <typename F, typename... In>
+MZ_AVX2 void MapLoopAvx2(long lo, long hi, double* out, F f, In... in) {
+  MapLoop(lo, hi, out, f, in...);
+}
+
+template <typename F, typename... In>
+void Map(long n, double* out, F f, In... in) {
+  const bool avx2 = lanes::Detected() == lanes::Width::kAvx2;
   Dispatch(n, [=](long lo, long hi) {
-    const double* __restrict pa = a;
-    double* __restrict po = out;
-    for (long i = lo; i < hi; ++i) {
-      po[i] = f(pa[i]);
+    if (avx2) {
+      MapLoopAvx2(lo, hi, out, f, in...);
+    } else {
+      MapLoop(lo, hi, out, f, in...);
     }
   });
 }
 
-template <typename F>
-void MapBinary(long n, const double* a, const double* b, double* out, F f) {
-  Dispatch(n, [=](long lo, long hi) {
-    const double* __restrict pa = a;
-    const double* __restrict pb = b;
-    double* __restrict po = out;
-    for (long i = lo; i < hi; ++i) {
-      po[i] = f(pa[i], pb[i]);
-    }
-  });
+// Transcendental maps on libmvec lanes (lanes.h). An element's result does
+// not depend on where a Dispatch chunk starts.
+template <typename Op>
+void LaneUnary(long n, const double* a, double* out) {
+  const lanes::Width w = lanes::Detected();
+  Dispatch(n, [=](long lo, long hi) { lanes::Map<Op>(w, hi - lo, a + lo, out + lo); });
+}
+
+template <typename Op>
+void LaneBinary(long n, const double* a, const double* b, double* out) {
+  const lanes::Width w = lanes::Detected();
+  Dispatch(n, [=](long lo, long hi) { lanes::Map<Op>(w, hi - lo, a + lo, b + lo, out + lo); });
+}
+
+template <typename Op>
+void LaneScalar(long n, const double* a, double c, double* out) {
+  const lanes::Width w = lanes::Detected();
+  Dispatch(n, [=](long lo, long hi) { lanes::Map<Op>(w, hi - lo, a + lo, c, out + lo); });
 }
 
 // Parallel tree reduction: each worker folds its range, partials are folded
@@ -109,141 +137,100 @@ void SetNumThreads(int threads) {
 
 int GetNumThreads() { return EffectiveThreads(); }
 
-void Sqrt(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::sqrt(x); });
-}
-void Exp(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::exp(x); });
-}
-void Log(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::log(x); });
-}
-void Log1p(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::log1p(x); });
-}
-void Erf(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::erf(x); });
-}
-void Sin(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::sin(x); });
-}
-void Cos(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::cos(x); });
-}
-void Tan(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::tan(x); });
-}
-void Asin(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::asin(x); });
-}
-void Acos(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::acos(x); });
-}
-void Atan(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::atan(x); });
-}
+void Sqrt(long n, const double* a, double* out) { LaneUnary<lanes::Sqrt>(n, a, out); }
+void Exp(long n, const double* a, double* out) { LaneUnary<lanes::Exp>(n, a, out); }
+void Log(long n, const double* a, double* out) { LaneUnary<lanes::Log>(n, a, out); }
+void Log1p(long n, const double* a, double* out) { LaneUnary<lanes::Log1p>(n, a, out); }
+void Erf(long n, const double* a, double* out) { LaneUnary<lanes::Erf>(n, a, out); }
+void Sin(long n, const double* a, double* out) { LaneUnary<lanes::Sin>(n, a, out); }
+void Cos(long n, const double* a, double* out) { LaneUnary<lanes::Cos>(n, a, out); }
+void Tan(long n, const double* a, double* out) { LaneUnary<lanes::Tan>(n, a, out); }
+void Asin(long n, const double* a, double* out) { LaneUnary<lanes::Asin>(n, a, out); }
+void Acos(long n, const double* a, double* out) { LaneUnary<lanes::Acos>(n, a, out); }
+void Atan(long n, const double* a, double* out) { LaneUnary<lanes::Atan>(n, a, out); }
 void Abs(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::fabs(x); });
+  Map(n, out, [](double x) { return std::fabs(x); }, a);
 }
 void Neg(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return -x; });
+  Map(n, out, [](double x) { return -x; }, a);
 }
 void Inv(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return 1.0 / x; });
+  Map(n, out, [](double x) { return 1.0 / x; }, a);
 }
 void Sqr(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return x * x; });
+  Map(n, out, [](double x) { return x * x; }, a);
 }
 void Floor(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::floor(x); });
+  Map(n, out, [](double x) { return std::floor(x); }, a);
 }
 void Ceil(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::ceil(x); });
+  Map(n, out, [](double x) { return std::ceil(x); }, a);
 }
 
 void Add(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x + y; });
+  Map(n, out, [](double x, double y) { return x + y; }, a, b);
 }
 void Sub(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x - y; });
+  Map(n, out, [](double x, double y) { return x - y; }, a, b);
 }
 void Mul(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x * y; });
+  Map(n, out, [](double x, double y) { return x * y; }, a, b);
 }
 void Div(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x / y; });
+  Map(n, out, [](double x, double y) { return x / y; }, a, b);
 }
 void Pow(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return std::pow(x, y); });
+  LaneBinary<lanes::Pow>(n, a, b, out);
 }
 void Atan2(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return std::atan2(x, y); });
+  LaneBinary<lanes::Atan2>(n, a, b, out);
 }
 void Hypot(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return std::hypot(x, y); });
+  LaneBinary<lanes::Hypot>(n, a, b, out);
 }
 void Max(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x > y ? x : y; });
+  Map(n, out, [](double x, double y) { return x > y ? x : y; }, a, b);
 }
 void Min(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x < y ? x : y; });
+  Map(n, out, [](double x, double y) { return x < y ? x : y; }, a, b);
 }
 
 void AddC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return x + c; });
+  Map(n, out, [c](double x) { return x + c; }, a);
 }
 void SubC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return x - c; });
+  Map(n, out, [c](double x) { return x - c; }, a);
 }
 void MulC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return x * c; });
+  Map(n, out, [c](double x) { return x * c; }, a);
 }
 void DivC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return x / c; });
+  Map(n, out, [c](double x) { return x / c; }, a);
 }
 void RSubC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return c - x; });
+  Map(n, out, [c](double x) { return c - x; }, a);
 }
 void RDivC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return c / x; });
+  Map(n, out, [c](double x) { return c / x; }, a);
 }
 void PowC(long n, const double* a, double c, double* out) {
-  MapUnary(n, a, out, [c](double x) { return std::pow(x, c); });
+  LaneScalar<lanes::Pow>(n, a, c, out);
 }
 
 void Fma(long n, const double* a, const double* b, const double* c, double* out) {
-  Dispatch(n, [=](long lo, long hi) {
-    const double* __restrict pa = a;
-    const double* __restrict pb = b;
-    const double* __restrict pc = c;
-    double* __restrict po = out;
-    for (long i = lo; i < hi; ++i) {
-      po[i] = pa[i] * pb[i] + pc[i];
-    }
-  });
+  Map(n, out, [](double x, double y, double z) { return x * y + z; }, a, b, c);
 }
 
 void Axpy(long n, double alpha, const double* x, double* y) {
-  Dispatch(n, [=](long lo, long hi) {
-    const double* __restrict px = x;
-    double* __restrict py = y;
-    for (long i = lo; i < hi; ++i) {
-      py[i] += alpha * px[i];
-    }
-  });
+  Map(n, y, [alpha](double yi, double xi) { return yi + alpha * xi; }, y, x);
 }
 
 void Copy(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return x; });
+  Map(n, out, [](double x) { return x; }, a);
 }
 
 void Fill(long n, double c, double* out) {
-  Dispatch(n, [=](long lo, long hi) {
-    double* __restrict po = out;
-    for (long i = lo; i < hi; ++i) {
-      po[i] = c;
-    }
-  });
+  Map(n, out, [c] { return c; });
 }
 
 double Sum(long n, const double* a) {
@@ -291,19 +278,16 @@ double MinReduce(long n, const double* a) {
 
 void Select(long n, const double* cond, const double* if_true, const double* if_false,
             double* out) {
-  Dispatch(n, [=](long lo, long hi) {
-    for (long i = lo; i < hi; ++i) {
-      out[i] = cond[i] != 0.0 ? if_true[i] : if_false[i];
-    }
-  });
+  Map(n, out, [](double k, double t, double f) { return k != 0.0 ? t : f; }, cond, if_true,
+      if_false);
 }
 
 void GreaterThan(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x > y ? 1.0 : 0.0; });
+  Map(n, out, [](double x, double y) { return x > y ? 1.0 : 0.0; }, a, b);
 }
 
 void LessThan(long n, const double* a, const double* b, double* out) {
-  MapBinary(n, a, b, out, [](double x, double y) { return x < y ? 1.0 : 0.0; });
+  Map(n, out, [](double x, double y) { return x < y ? 1.0 : 0.0; }, a, b);
 }
 
 }  // namespace vecmath

@@ -1,6 +1,6 @@
 // vecmath: a hand-optimized vector math library in the mold of Intel MKL's
-// VML / L1 BLAS (the paper's closed-source substrate; see DESIGN.md §3 for
-// the substitution rationale).
+// VML / L1 BLAS (the paper's closed-source substrate; see
+// docs/ARCHITECTURE.md, "Library substitutions").
 //
 // Semantics follow MKL's vector math conventions:
 //  * every function takes an element count and raw pointers;
@@ -10,6 +10,24 @@
 //    arrays fan out across a thread pool (stand-in for MKL's TBB backing),
 //    calls under the grain size run serially. `SetNumThreads(1)` yields the
 //    "single-threaded library" baselines (NumPy mode in the benchmarks).
+//
+// Kernels. The transcendental maps (Exp, Log, Log1p, Erf, Sin, Cos, Tan,
+// Asin, Acos, Atan, Pow, Atan2, Hypot, PowC) run on glibc's vector math
+// library, libmvec, and Sqrt on the sqrtpd instruction (lanes.h). The lane
+// width is chosen once per process: 4 doubles when the CPU has AVX2, else
+// the x86-64 SSE2 baseline's 2. The plain maps (Add ... RSubC, Fma, Axpy,
+// Select, ...) compile to vector code at the same width; IEEE + - * / give
+// the same bits as scalar code, and the reductions (Sum, Dot, ...) keep
+// their sequential order.
+//
+// Contract:
+//  * an element's result depends only on its inputs, never on where a call,
+//    a Mozart piece or an internal-thread chunk starts: every element, the
+//    tail of a call included, goes through the same vector routine. So an
+//    annotated pipeline reproduces the unannotated library bit for bit;
+//  * libmvec results are within 4 ulp of glibc's scalar libm (measured at
+//    most 3 on the test ranges), with the same NaN, infinity, zero and sign
+//    behaviour on special inputs; Sqrt is correctly rounded.
 //
 // None of these functions know anything about Mozart — that is the point.
 // The split annotations live entirely in annotated.h.

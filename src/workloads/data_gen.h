@@ -2,7 +2,7 @@
 // datasets (311 service requests, per-city crime statistics, US baby names,
 // MovieLens, IMDb reviews). Schemas, dirty-value rates, and key skew follow
 // the originals so the workloads exercise the same operator paths; see
-// DESIGN.md §3 for the substitution table.
+// docs/ARCHITECTURE.md, "Library substitutions".
 #ifndef MOZART_WORKLOADS_DATA_GEN_H_
 #define MOZART_WORKLOADS_DATA_GEN_H_
 

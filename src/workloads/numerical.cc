@@ -230,6 +230,12 @@ double BlackScholes::Checksum() const {
   return sum;
 }
 
+std::vector<double> BlackScholes::Outputs() const {
+  std::vector<double> out(call_.begin(), call_.end());
+  out.insert(out.end(), put_.begin(), put_.end());
+  return out;
+}
+
 // ---- Haversine ----
 
 Haversine::Haversine(long n, std::uint64_t seed)
@@ -287,6 +293,8 @@ double Haversine::Checksum() const {
   }
   return sum;
 }
+
+std::vector<double> Haversine::Outputs() const { return {dist_.begin(), dist_.end()}; }
 
 // ---- nBody ----
 
@@ -399,6 +407,14 @@ double NBody::Checksum() const {
            z_[static_cast<std::size_t>(i)];
   }
   return sum;
+}
+
+std::vector<double> NBody::Outputs() const {
+  std::vector<double> out;
+  for (const std::vector<double>* v : {&x_, &y_, &z_, &vx_, &vy_, &vz_}) {
+    out.insert(out.end(), v->begin(), v->end());
+  }
+  return out;
 }
 
 // ---- Shallow Water ----

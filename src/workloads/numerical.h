@@ -10,7 +10,8 @@
 //   RunFused()  — the hand-fused compiler stand-in (baselines/fused.h).
 //
 // Every mode computes the same math; Checksum() lets tests and benches
-// verify cross-mode agreement. Operator counts mirror Table 2's per-workload
+// verify cross-mode agreement, and Outputs() returns every output element
+// (for bit-exact comparisons). Operator counts mirror Table 2's per-workload
 // API-call counts (32 / 18 / 38 / 32 in the paper; ours are of the same
 // order).
 #ifndef MOZART_WORKLOADS_NUMERICAL_H_
@@ -34,6 +35,7 @@ class BlackScholes {
   void RunFused(int threads);
 
   double Checksum() const;
+  std::vector<double> Outputs() const;  // call prices, then put prices
   long size() const { return n_; }
   static int NumOperators() { return 30; }
 
@@ -58,6 +60,7 @@ class Haversine {
   void RunFused(int threads);
 
   double Checksum() const;
+  std::vector<double> Outputs() const;  // distances
   long size() const { return n_; }
   static int NumOperators() { return 15; }
 
@@ -80,6 +83,7 @@ class NBody {
   void RunFused(int threads);
 
   double Checksum() const;
+  std::vector<double> Outputs() const;  // x, y, z, then vx, vy, vz
   long size() const { return n_; }
   static int NumOperators() { return 22; }  // per step
 

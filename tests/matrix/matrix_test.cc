@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
+
+#include "common/rng.h"
 
 #include "core/client.h"
 #include "core/runtime.h"
@@ -71,6 +77,95 @@ TEST(MatrixTest, ElementwiseOps) {
   EXPECT_DOUBLE_EQ(out.at(0, 1), 22.0);
   matrix::AddScaled(&a, 2.0, &b, &out);
   EXPECT_DOUBLE_EQ(out.at(0, 0), 21.0);
+}
+
+Matrix RandomMatrix(long rows, long cols, double lo, double hi, std::uint64_t seed) {
+  mz::Rng rng(seed);
+  Matrix m(rows, cols);
+  for (long r = 0; r < rows; ++r) {
+    for (long c = 0; c < cols; ++c) {
+      m.at(r, c) = rng.NextDouble(lo, hi);
+    }
+  }
+  return m;
+}
+
+bool BitEqual(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) {
+    return false;
+  }
+  for (long r = 0; r < x.rows(); ++r) {
+    if (std::memcmp(x.row(r), y.row(r), static_cast<std::size_t>(x.cols()) * sizeof(double))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::int64_t UlpDistance(double x, double y) {
+  auto ordered = [](double v) {
+    std::int64_t i;
+    std::memcpy(&i, &v, sizeof i);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = ordered(x) - ordered(y);
+  return d < 0 ? -d : d;
+}
+
+// Pow runs on libmvec lanes: within 4 ulp of glibc's scalar pow on every
+// element, including the tail of each 37-column row.
+TEST(MatrixTest, PowWithinFourUlpOfStdPow) {
+  const Matrix a = RandomMatrix(19, 37, 0.01, 50.0, 31);
+  for (double e : {-1.5, 0.5, 2.0, 3.0}) {
+    Matrix out(19, 37);
+    matrix::Pow(&a, e, &out);
+    std::int64_t worst = 0;
+    for (long r = 0; r < a.rows(); ++r) {
+      for (long c = 0; c < a.cols(); ++c) {
+        worst = std::max(worst, UlpDistance(out.at(r, c), std::pow(a.at(r, c), e)));
+      }
+    }
+    EXPECT_LE(worst, 4) << "exponent " << e;
+  }
+  Matrix root(19, 37);
+  matrix::Sqrt(&a, &root);
+  for (long r = 0; r < a.rows(); ++r) {
+    for (long c = 0; c < a.cols(); ++c) {
+      ASSERT_EQ(root.at(r, c), std::sqrt(a.at(r, c))) << "sqrtpd is correctly rounded";
+    }
+  }
+}
+
+// MKL-style in-place calls (`matrix::Add(&t1, &t2, &t1)`, as nBody makes)
+// give the bits of the out-of-place call: a unary map, a binary map with
+// out == a and out == b, and a lane op. 37 columns leave a tail in every
+// row; 1200 rows cross the library's internal-threading grain.
+TEST(MatrixTest, InPlaceMatchesOutOfPlace) {
+  for (long rows : {5L, 1200L}) {
+    SCOPED_TRACE(rows);
+    const Matrix a = RandomMatrix(rows, 37, 0.5, 2.0, 32);
+    const Matrix b = RandomMatrix(rows, 37, 1.0, 3.0, 33);
+    Matrix want(rows, 37);
+    Matrix got;
+
+    matrix::MulScalar(&a, 1.5, &want);
+    got = a.Clone();
+    matrix::MulScalar(&got, 1.5, &got);
+    EXPECT_TRUE(BitEqual(got, want)) << "MulScalar, out == a";
+
+    matrix::Div(&a, &b, &want);
+    got = a.Clone();
+    matrix::Div(&got, &b, &got);
+    EXPECT_TRUE(BitEqual(got, want)) << "Div, out == a";
+    got = b.Clone();
+    matrix::Div(&a, &got, &got);
+    EXPECT_TRUE(BitEqual(got, want)) << "Div, out == b";
+
+    matrix::Pow(&a, -1.5, &want);
+    got = a.Clone();
+    matrix::Pow(&got, -1.5, &got);
+    EXPECT_TRUE(BitEqual(got, want)) << "Pow, out == a";
+  }
 }
 
 TEST(MatrixTest, NormalizeRowsSumToOne) {

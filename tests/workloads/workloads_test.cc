@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/runtime.h"
 #include "vecmath/vecmath.h"
@@ -17,6 +21,10 @@ mz::Runtime* NewRuntime(int threads) {
   opts.num_threads = threads;
   opts.pedantic = true;
   return new mz::Runtime(opts);
+}
+
+bool BitEqual(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
 // Relative comparison: pipelined/fused execution reassociates floating point.
@@ -174,6 +182,61 @@ TEST(WorkloadModes, NoPipelineAblationCorrect) {
   w.RunMozart(&rt);
   EXPECT_NEAR(w.Checksum(), base, std::abs(base) * 1e-9);
   EXPECT_EQ(rt.stats().Take().stages, workloads::Haversine::NumOperators());
+}
+
+// The paper's contract, exactly: annotated output equals the unannotated
+// library's bit for bit. Pieces of 1001 and 4099 elements start inside a
+// vector register of the libmvec lanes, so this holds only because an
+// element's result does not depend on where its call starts.
+class PieceOffsets : public ::testing::TestWithParam<std::int64_t> {
+ protected:
+  mz::Runtime* NewOverrideRuntime() const {
+    mz::RuntimeOptions opts;
+    opts.num_threads = 2;
+    opts.pedantic = true;
+    opts.batch_elems_override = GetParam();
+    return new mz::Runtime(opts);
+  }
+};
+
+TEST_P(PieceOffsets, BlackScholesBitIdentical) {
+  workloads::BlackScholes w(30011, 41);
+  w.RunBase();
+  const std::vector<double> base = w.Outputs();
+  std::unique_ptr<mz::Runtime> rt(NewOverrideRuntime());
+  w.RunMozart(rt.get());
+  EXPECT_TRUE(BitEqual(w.Outputs(), base));
+}
+
+TEST_P(PieceOffsets, HaversineBitIdentical) {
+  workloads::Haversine w(30011, 42);
+  w.RunBase();
+  const std::vector<double> base = w.Outputs();
+  std::unique_ptr<mz::Runtime> rt(NewOverrideRuntime());
+  w.RunMozart(rt.get());
+  EXPECT_TRUE(BitEqual(w.Outputs(), base));
+}
+
+INSTANTIATE_TEST_SUITE_P(Batch, PieceOffsets, ::testing::Values(1001, 4099),
+                         [](const ::testing::TestParamInfo<std::int64_t>& param_info) {
+                           return "b" + std::to_string(param_info.param);
+                         });
+
+// One nBody step in row bands of 3 and 7 rows (the last band is shorter):
+// the matrix Pow lanes and the vecmath Axpy maps see odd piece sizes.
+TEST(WorkloadModes, NBodyStepBitIdenticalOverOddRowSplits) {
+  for (std::int64_t rows : {3, 7}) {
+    workloads::NBody w(256, 1, 43);
+    w.RunBase();
+    const std::vector<double> base = w.Outputs();
+    mz::RuntimeOptions opts;
+    opts.num_threads = 2;
+    opts.pedantic = true;
+    opts.batch_elems_override = rows;
+    mz::Runtime rt(opts);
+    w.RunMozart(&rt);
+    EXPECT_TRUE(BitEqual(w.Outputs(), base)) << rows << "-row bands";
+  }
 }
 
 }  // namespace
